@@ -4,7 +4,7 @@
 #include <cmath>
 #include <iostream>
 #include <limits>
-#include <unordered_map>
+#include <optional>
 
 #include "s3/analysis/balance.h"
 #include "s3/util/metrics.h"
@@ -35,11 +35,221 @@ const S3Metrics& s3_metrics() {
   return m;
 }
 
-/// One candidate distribution of a clique over APs.
-struct Distribution {
-  std::vector<std::size_t> choice;  ///< per member: index into its candidates
-  double cost = 0.0;
-  bool feasible = true;
+constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+/// The one order distributions are ranked by, leaves and beam nodes
+/// alike: total social cost only.
+constexpr auto by_cost = [](const auto& a, const auto& b) {
+  return a.cost < b.cost;
+};
+
+// Algorithm 1's distribution search over one clique, on flat tables
+// built once for the clique. A distribution is one candidate index per
+// member; its cost is Σ over members of C(AP) against the committed
+// state plus θ to the earlier members sharing its AP. No distribution
+// allocates or hashes: the exact search is a depth-first walk with a
+// running cost and per-AP added-demand accumulators, the beam search
+// a level-by-level frontier of flat nodes.
+//
+// Placements are byte-identical to a level-by-level build over
+// per-distribution choice vectors (the reference the differential test
+// in s3_selector_test.cpp keeps), because both
+//   * list feasible leaves in the same order (member order, candidates
+//     ascending) and order them with the same std::sort / nth_element
+//     calls and cost-only comparator, so equal costs resolve the same;
+//   * form every sum in the same order: a member's added demand per AP
+//     from 0.0 in member order, its step as C(AP) plus θ in member
+//     order, the total as the parent's cost plus the step.
+// The walk restores saved accumulator values on backtrack rather than
+// subtracting, which would not round-trip.
+struct CliqueSearch {
+  /// A feasible complete distribution: its total cost, and its
+  /// lexicographic index (exact) or final beam node (beam).
+  struct Leaf {
+    double cost;
+    std::size_t index;
+  };
+  /// One beam node: the next member on its `candidate`-th candidate,
+  /// extending node `parent` of the previous level (the root is node 0).
+  struct BeamNode {
+    double cost;
+    std::size_t parent;
+    std::size_t candidate;
+    bool feasible;
+  };
+
+  bool respect_bandwidth;  ///< S3Config::respect_bandwidth
+  // Per member k; k's candidates are [offset[k], offset[k + 1]) in the
+  // per-candidate tables.
+  std::vector<double> demand;
+  std::vector<std::size_t> offset;
+  std::vector<double> theta;  ///< m × m intra-clique θ, row-major
+  // Per (member, candidate).
+  std::vector<double> base_cost;  ///< C(AP) against the committed state
+  std::vector<std::size_t> slot;  ///< dense AP slot within the clique
+  std::vector<double> headroom;   ///< committed headroom of the AP
+  std::vector<std::size_t> domain_slot;  ///< index in the domain, or kNone
+  /// Per AP slot: demand added by the members placed so far.
+  std::vector<double> added;
+  // Walk state per member.
+  std::vector<std::size_t> choice;
+  std::vector<std::size_t> chosen_slot;
+  std::vector<double> cost_before;
+  std::vector<std::size_t> index_before;
+  std::vector<double> saved_added;
+
+  std::vector<BeamNode> nodes;
+  std::vector<std::size_t> level_begin;
+  std::vector<Leaf> leaves;
+
+  CliqueSearch(std::size_t m, bool check_bandwidth)
+      : respect_bandwidth(check_bandwidth),
+        demand(m),
+        offset(1, 0),
+        theta(m * m, 0.0),
+        choice(m),
+        chosen_slot(m),
+        cost_before(m),
+        index_before(m),
+        saved_added(m) {}
+
+  std::size_t members() const noexcept { return demand.size(); }
+  std::size_t candidates(std::size_t k) const noexcept {
+    return offset[k + 1] - offset[k];
+  }
+
+  /// False when member k on table entry i would break Σ w(u) ≤ W(i)
+  /// given the demand the placed members already add to its AP.
+  bool fits(std::size_t k, std::size_t i) const {
+    return !respect_bandwidth ||
+           !(headroom[i] - added[slot[i]] < demand[k]);
+  }
+
+  /// Cost step of member k on table entry i: C(AP) plus θ to every
+  /// earlier member placed on the same AP, in member order.
+  double step(std::size_t k, std::size_t i) const {
+    const std::size_t m = members();
+    double cost = base_cost[i];
+    for (std::size_t p = 0; p < k; ++p) {
+      if (chosen_slot[p] == slot[i]) cost += theta[k * m + p];
+    }
+    return cost;
+  }
+
+  /// Exhaustive search; returns the distributions the level-by-level
+  /// build enumerates (Σ_k Π_{j≤k} |candidates_j|, infeasible included).
+  std::size_t walk_exact() {
+    const std::size_t m = members();
+    std::size_t enumerated = 0;
+    std::size_t level = 1;
+    for (std::size_t k = 0; k < m; ++k) {
+      level *= candidates(k);
+      enumerated += level;
+    }
+    leaves.reserve(level);
+    std::size_t k = 0;
+    choice[0] = 0;
+    cost_before[0] = 0.0;
+    index_before[0] = 0;
+    for (;;) {
+      if (choice[k] == candidates(k)) {
+        if (k == 0) break;
+        --k;
+        added[chosen_slot[k]] = saved_added[k];
+        ++choice[k];
+        continue;
+      }
+      const std::size_t i = offset[k] + choice[k];
+      if (!fits(k, i)) {
+        ++choice[k];  // every leaf below is infeasible
+        continue;
+      }
+      const double cost = cost_before[k] + step(k, i);
+      const std::size_t index = index_before[k] + choice[k];
+      if (k + 1 == m) {
+        leaves.push_back({cost, index});
+        ++choice[k];
+        continue;
+      }
+      chosen_slot[k] = slot[i];
+      saved_added[k] = added[slot[i]];
+      added[slot[i]] += demand[k];
+      ++k;
+      choice[k] = 0;
+      cost_before[k] = cost;
+      index_before[k] = index * candidates(k);
+    }
+    return enumerated;
+  }
+
+  /// Loads node q's choices of members [0, level) into `chosen_slot`
+  /// and `choice`, and their added demand into `added`.
+  void load_path(std::size_t q, std::size_t level) {
+    for (std::size_t p = level; p-- > 0;) {
+      choice[p] = nodes[q].candidate;
+      chosen_slot[p] = slot[offset[p] + choice[p]];
+      q = nodes[q].parent;
+    }
+    std::fill(added.begin(), added.end(), 0.0);
+    for (std::size_t p = 0; p < level; ++p) {
+      added[chosen_slot[p]] += demand[p];
+    }
+  }
+
+  /// Beam search: level k extends every kept node of level k-1 by every
+  /// candidate of member k; a level wider than the beam keeps its
+  /// `beam_width` cheapest (nth_element). Infeasible nodes stay in the
+  /// frontier at infinite cost: they take part in nth_element. Returns
+  /// the distributions enumerated.
+  std::size_t walk_beam(std::size_t beam_width) {
+    const std::size_t m = members();
+    nodes.assign(1, BeamNode{0.0, kNone, kNone, true});
+    level_begin.assign(1, 0);
+    std::size_t enumerated = 0;
+    for (std::size_t k = 0; k < m; ++k) {
+      const std::size_t begin = level_begin[k];
+      const std::size_t end = nodes.size();
+      for (std::size_t q = begin; q < end; ++q) {
+        const BeamNode parent = nodes[q];
+        if (parent.feasible) load_path(q, k);
+        for (std::size_t c = 0; c < candidates(k); ++c) {
+          BeamNode e{kInf, q, c, false};
+          const std::size_t i = offset[k] + c;
+          if (parent.feasible && fits(k, i)) {
+            e.cost = parent.cost + step(k, i);
+            e.feasible = true;
+          }
+          nodes.push_back(e);
+        }
+      }
+      enumerated += nodes.size() - end;
+      if (nodes.size() - end > beam_width) {
+        const auto first = nodes.begin() + static_cast<std::ptrdiff_t>(end);
+        std::nth_element(first, first + static_cast<std::ptrdiff_t>(beam_width),
+                         nodes.end(), by_cost);
+        nodes.resize(end + beam_width);
+      }
+      level_begin.push_back(end);
+    }
+    for (std::size_t q = level_begin[m]; q < nodes.size(); ++q) {
+      if (nodes[q].feasible) leaves.push_back({nodes[q].cost, q});
+    }
+    return enumerated;
+  }
+
+  /// Loads a leaf's per-member candidate indices into `choice`.
+  void load_choices(const Leaf& leaf, bool exact) {
+    const std::size_t m = members();
+    if (!exact) {
+      load_path(leaf.index, m);
+      return;
+    }
+    std::size_t index = leaf.index;
+    for (std::size_t k = m; k-- > 0;) {
+      choice[k] = index % candidates(k);
+      index /= candidates(k);
+    }
+  }
 };
 
 }  // namespace
@@ -179,13 +389,6 @@ sim::BatchResult S3Selector::place_batch(const sim::BatchRequest& request,
   }
   last_full_fidelity_ = true;
   std::vector<ApId> result(batch.size(), kInvalidAp);
-  sim::ApLoadTracker scratch = loads;
-
-  auto commit = [&](std::size_t batch_index, ApId ap) {
-    const sim::Arrival& a = batch[batch_index];
-    scratch.associate(a.session_index, ap, a.user, a.demand_mbps);
-    result[batch_index] = ap;
-  };
 
   // ---- Social graph over the batch (vertices = batch indices) -------
   // Incremental path: the maintainer mirrors the provider's strict
@@ -249,42 +452,77 @@ sim::BatchResult S3Selector::place_batch(const sim::BatchRequest& request,
     }
   }
 
+  // Each clique is placed against the state with the earlier cliques
+  // of the batch committed. Only a later clique reads those commits, so
+  // the tracker is copied only when there is one: a single-clique batch
+  // (every single-arrival batch) reads `loads` directly. A copy visits
+  // each AP's stations in the source's order (see
+  // ApLoadTracker::for_each_station), so C(AP) sums come out
+  // bit-identical either way.
+  std::optional<sim::ApLoadTracker> committed;
+  if (cover_result.cliques.size() > 1) committed.emplace(loads);
+  const sim::ApLoadTracker& view = committed ? *committed : loads;
+
   for (const std::vector<std::size_t>& clique : cover_result.cliques) {
     if (clique.size() == 1) {
       ++stats_.singles;
-      const sim::Arrival& a = batch[clique.front()];
-      commit(clique.front(), select_one(a, scratch));
-      continue;
+      result[clique.front()] = select_one(batch[clique.front()], view);
+    } else {
+      ++stats_.cliques;
+      stats_.clique_members += clique.size();
+      stats_.largest_clique = std::max(stats_.largest_clique, clique.size());
+      s3_metrics().clique_size->record(clique.size());
+      place_clique_members(batch, clique, view, result);
     }
-    ++stats_.cliques;
-    stats_.clique_members += clique.size();
-    stats_.largest_clique = std::max(stats_.largest_clique, clique.size());
-    s3_metrics().clique_size->record(clique.size());
-    place_clique_members(batch, clique, scratch, commit);
+    if (committed) {
+      for (const std::size_t i : clique) {
+        const sim::Arrival& a = batch[i];
+        committed->associate(a.session_index, result[i], a.user,
+                             a.demand_mbps);
+      }
+    }
   }
   return {std::move(result), last_full_fidelity_};
 }
 
-void S3Selector::place_clique_members(
-    std::span<const sim::Arrival> batch,
-    const std::vector<std::size_t>& clique, const sim::ApLoadTracker& scratch,
-    const std::function<void(std::size_t, ApId)>& commit) {
+void S3Selector::place_clique_members(std::span<const sim::Arrival> batch,
+                                      const std::vector<std::size_t>& clique,
+                                      const sim::ApLoadTracker& loads,
+                                      std::span<ApId> result) {
   const std::size_t m = clique.size();
+  const double threshold =
+      config_.count_weak_ties_in_cost ? -1.0 : config_.theta_threshold;
+  const auto domain = net_->aps_of_controller(batch[clique[0]].controller);
 
-  // Precompute, per member, the per-candidate base social cost against
-  // the committed state, and the intra-clique θ matrix (one theta_row
-  // per member against the later members — θ is symmetric).
-  std::vector<std::vector<double>> member_base(m);
+  // Per member and candidate: base social cost against the committed
+  // state, dense AP slot, headroom and domain index.
+  CliqueSearch s(m, config_.respect_bandwidth);
+  std::vector<ApId> slot_ap;            // the clique's distinct APs
+  std::vector<std::size_t> slot_domain;  // their domain index, or kNone
   for (std::size_t k = 0; k < m; ++k) {
     const sim::Arrival& a = batch[clique[k]];
-    member_base[k].reserve(a.candidates.size());
-    for (ApId ap : a.candidates) {
-      member_base[k].push_back(social_cost(
-          scratch, a.user, ap,
-          config_.count_weak_ties_in_cost ? -1.0 : config_.theta_threshold));
+    s.demand[k] = a.demand_mbps;
+    for (const ApId ap : a.candidates) {
+      s.base_cost.push_back(social_cost(loads, a.user, ap, threshold));
+      const auto seen = std::find(slot_ap.begin(), slot_ap.end(), ap);
+      const auto slot = static_cast<std::size_t>(seen - slot_ap.begin());
+      if (seen == slot_ap.end()) {
+        slot_ap.push_back(ap);
+        const auto at = std::find(domain.begin(), domain.end(), ap);
+        slot_domain.push_back(
+            at == domain.end() ? kNone
+                               : static_cast<std::size_t>(at - domain.begin()));
+      }
+      s.slot.push_back(slot);
+      s.headroom.push_back(loads.headroom_mbps(ap));
+      s.domain_slot.push_back(slot_domain[slot]);
     }
+    s.offset.push_back(s.base_cost.size());
   }
-  std::vector<double> theta(m * m, 0.0);
+  s.added.resize(slot_ap.size());
+
+  // Intra-clique θ: one theta_row per member against the later members
+  // (θ is symmetric).
   {
     std::vector<UserId> members(m);
     for (std::size_t k = 0; k < m; ++k) members[k] = batch[clique[k]].user;
@@ -295,151 +533,82 @@ void S3Selector::place_clique_members(
       const std::span<double> out = std::span<double>(row).first(vs.size());
       model_->theta_row(members[i], vs, out);
       for (std::size_t j = 0; j < vs.size(); ++j) {
-        theta[i * m + (i + 1 + j)] = out[j];
-        theta[(i + 1 + j) * m + i] = out[j];
+        s.theta[i * m + (i + 1 + j)] = out[j];
+        s.theta[(i + 1 + j) * m + i] = out[j];
       }
     }
   }
-
-  // Cost/feasibility of extending a partial distribution with member k
-  // on candidate index c, given per-AP demand already added by earlier
-  // members of this distribution.
-  auto extend_cost = [&](const Distribution& d, std::size_t k, std::size_t c,
-                         std::unordered_map<ApId, double>& added) -> double {
-    const sim::Arrival& a = batch[clique[k]];
-    const ApId ap = a.candidates[c];
-    added.clear();
-    for (std::size_t p = 0; p < k; ++p) {
-      added[batch[clique[p]].candidates[d.choice[p]]] +=
-          batch[clique[p]].demand_mbps;
-    }
-    if (config_.respect_bandwidth &&
-        scratch.headroom_mbps(ap) - added[ap] < a.demand_mbps) {
-      return kInf;
-    }
-    double cost = member_base[k][c];
-    for (std::size_t p = 0; p < k; ++p) {
-      if (batch[clique[p]].candidates[d.choice[p]] == ap) {
-        cost += theta[k * m + p];
-      }
-    }
-    return cost;
-  };
 
   // ---- Enumerate (exact or beam) -------------------------------------
   double space = 1.0;
   for (std::size_t k = 0; k < m; ++k) {
-    space *= static_cast<double>(batch[clique[k]].candidates.size());
+    space *= static_cast<double>(s.candidates(k));
     if (space > 1e18) break;
   }
-
-  std::vector<Distribution> frontier{Distribution{}};
   const bool exact = space <= static_cast<double>(config_.enumeration_limit);
+  std::size_t enumerated = 0;
   if (exact) {
     ++stats_.exact_enumerations;
     s3_metrics().exact_enumerations->add();
+    enumerated = s.walk_exact();
   } else {
     ++stats_.beam_searches;
     s3_metrics().beam_searches->add();
+    enumerated = s.walk_beam(config_.beam_width);
   }
-  std::unordered_map<ApId, double> added_scratchpad;
+  s3_metrics().distributions->add(enumerated);
 
-  for (std::size_t k = 0; k < m; ++k) {
-    const std::size_t n_cand = batch[clique[k]].candidates.size();
-    std::vector<Distribution> next;
-    next.reserve(frontier.size() * n_cand);
-    for (const Distribution& d : frontier) {
-      for (std::size_t c = 0; c < n_cand; ++c) {
-        const double step = extend_cost(d, k, c, added_scratchpad);
-        Distribution e = d;
-        e.choice.push_back(c);
-        if (step == kInf) {
-          e.feasible = false;
-          e.cost = kInf;
-        } else if (e.feasible) {
-          e.cost += step;
-        }
-        next.push_back(std::move(e));
-      }
-    }
-    s3_metrics().distributions->add(next.size());
-    if (!exact && next.size() > config_.beam_width) {
-      std::nth_element(next.begin(),
-                       next.begin() + static_cast<std::ptrdiff_t>(
-                                          config_.beam_width),
-                       next.end(),
-                       [](const Distribution& a, const Distribution& b) {
-                         return a.cost < b.cost;
-                       });
-      next.resize(config_.beam_width);
-    }
-    frontier = std::move(next);
-  }
-
-  // Keep feasible distributions only; if none, place members one by one
-  // via the single-user path (which itself degrades to LLF).
-  std::vector<Distribution> feasible;
-  for (Distribution& d : frontier) {
-    if (d.feasible) feasible.push_back(std::move(d));
-  }
-  if (feasible.empty()) {
-    sim::ApLoadTracker local = scratch;
+  // No feasible distribution: place members one by one via the
+  // single-user path (which itself degrades to LLF).
+  if (s.leaves.empty()) {
+    sim::ApLoadTracker local = loads;
     for (std::size_t k = 0; k < m; ++k) {
       const sim::Arrival& a = batch[clique[k]];
       const ApId ap = select_one(a, local);
       local.associate(a.session_index, ap, a.user, a.demand_mbps);
-      commit(clique[k], ap);
+      result[clique[k]] = ap;
     }
     return;
   }
 
   // Sort by total social cost; keep the cheapest top_fraction (line 6
   // of Algorithm 1), then pick the best balance index among them.
-  std::sort(feasible.begin(), feasible.end(),
-            [](const Distribution& a, const Distribution& b) {
-              return a.cost < b.cost;
-            });
+  std::sort(s.leaves.begin(), s.leaves.end(), by_cost);
   std::size_t keep = std::max<std::size_t>(
       1, static_cast<std::size_t>(
-             std::ceil(static_cast<double>(feasible.size()) *
+             std::ceil(static_cast<double>(s.leaves.size()) *
                        config_.top_fraction)));
   // Extend across cost ties at the boundary so the balance tie-break
   // sees every distribution as cheap as the last kept one.
-  while (keep < feasible.size() &&
-         feasible[keep].cost <= feasible[keep - 1].cost + kCostEps) {
+  while (keep < s.leaves.size() &&
+         s.leaves[keep].cost <= s.leaves[keep - 1].cost + kCostEps) {
     ++keep;
   }
 
-  const auto domain = net_->aps_of_controller(batch[clique[0]].controller);
   std::vector<double> loads_base(domain.size());
-  std::unordered_map<ApId, std::size_t> domain_index;
   for (std::size_t i = 0; i < domain.size(); ++i) {
-    loads_base[i] = scratch.demand_mbps(domain[i]);
-    domain_index.emplace(domain[i], i);
+    loads_base[i] = loads.demand_mbps(domain[i]);
   }
-
-  const Distribution* best = &feasible.front();
+  std::size_t best = 0;
   double best_beta = -1.0;
   std::vector<double> loads_tmp;
   for (std::size_t i = 0; i < keep; ++i) {
+    s.load_choices(s.leaves[i], exact);
     loads_tmp = loads_base;
     for (std::size_t k = 0; k < m; ++k) {
-      const sim::Arrival& a = batch[clique[k]];
-      const ApId ap = a.candidates[feasible[i].choice[k]];
-      const auto it = domain_index.find(ap);
-      if (it != domain_index.end()) {
-        loads_tmp[it->second] += a.demand_mbps;
-      }
+      const std::size_t d = s.domain_slot[s.offset[k] + s.choice[k]];
+      if (d != kNone) loads_tmp[d] += s.demand[k];
     }
     const double beta = analysis::normalized_balance_index(loads_tmp);
     if (beta > best_beta) {
       best_beta = beta;
-      best = &feasible[i];
+      best = i;
     }
   }
 
+  s.load_choices(s.leaves[best], exact);
   for (std::size_t k = 0; k < m; ++k) {
-    commit(clique[k], batch[clique[k]].candidates[best->choice[k]]);
+    result[clique[k]] = batch[clique[k]].candidates[s.choice[k]];
   }
 }
 

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "s3/core/baselines.h"
@@ -149,12 +148,12 @@ class S3Selector final : public sim::ApSelector {
 
  private:
   /// Places one multi-member clique (steps 5–7 of Algorithm 1) against
-  /// the already-committed scratch state; `commit` receives
-  /// (batch index, chosen AP) per member.
+  /// `loads`, the state with every earlier clique of the batch
+  /// committed; writes each member's AP to `result[batch index]`.
   void place_clique_members(std::span<const sim::Arrival> batch,
                             const std::vector<std::size_t>& clique,
-                            const sim::ApLoadTracker& scratch,
-                            const std::function<void(std::size_t, ApId)>& commit);
+                            const sim::ApLoadTracker& loads,
+                            std::span<ApId> result);
 
   /// Social cost of adding `user` to `ap` against the committed state:
   /// C(AP) = Σ_{w ∈ S(AP)} θ(user, w) over one batched theta_row call.

@@ -10,6 +10,18 @@
 
 namespace s3::serve {
 
+namespace {
+
+// Looked up once: a registry lookup takes the registry-wide mutex, which
+// every serve worker would otherwise share per placement. reset() keeps
+// entries alive, so the pointer stays valid.
+util::Histogram* place_ns_histogram() {
+  static util::Histogram* const h = util::metrics().histogram("serve.place_ns");
+  return h;
+}
+
+}  // namespace
+
 ServePipeline::ServePipeline(const wlan::Network* net,
                              const social::SocialIndexModel* base,
                              ServeConfig config)
@@ -160,12 +172,10 @@ PlaceResult ServePipeline::place(const PlaceRequest& req) {
   if (result.overloaded) {
     forced_overloads_.fetch_add(1, std::memory_order_relaxed);
   }
-  util::metrics()
-      .histogram("serve.place_ns")
-      ->record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
+  place_ns_histogram()->record(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count()));
   return result;
 }
 

@@ -76,6 +76,13 @@ class ApLoadTracker {
   /// Visits every active station on `ap`. Visitation order is the
   /// map's stored order: unspecified, but stable for a given
   /// insert/erase history, which replay determinism relies on.
+  ///
+  /// Copy-order property: a copy visits each AP's stations in the
+  /// source's order, and stays in step with it under the same later
+  /// associate/disconnect calls (a copied unordered_map keeps the
+  /// source's buckets and node order). S3Selector sums C(AP) in this
+  /// order and reads either the caller's tracker or a copy of it, so
+  /// its placements depend on this.
   template <typename Fn>
   void for_each_station(ApId ap, Fn&& fn) const {
     S3_REQUIRE(ap < aps_.size(), "for_each_station: ap out of range");

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <unordered_map>
 
+#include "s3/analysis/balance.h"
+#include "s3/util/metrics.h"
+#include "s3/util/rng.h"
 #include "testing/mini.h"
 
 namespace s3::core {
@@ -381,6 +388,487 @@ TEST(S3Selector, StateDigestTracksCommittedAssociations) {
   request.faults.model_available = false;  // degraded batch mutates stats
   (void)c.place_batch(request, loads);
   EXPECT_NE(a.state_digest(), c.state_digest());
+}
+
+// ---- Differential test: flat search vs the level-by-level reference --
+//
+// The reference below is the original Algorithm 1 clique search: a
+// level-by-level build over per-distribution choice vectors that
+// re-hashes the added demand on every extension. S3Selector's flat
+// search must reproduce it exactly: placements, S3Stats and the
+// distributions counter, including every cost and β′ tie.
+
+/// θ from a dense symmetric table; theta_row is the default scalar loop.
+class TableTheta final : public social::ThetaProvider {
+ public:
+  explicit TableTheta(std::size_t n) : n_(n), theta_(n * n, 0.0) {}
+  void set(UserId u, UserId v, double t) {
+    theta_[u * n_ + v] = t;
+    theta_[v * n_ + u] = t;
+  }
+  double theta(UserId u, UserId v) const override {
+    return u == v ? 0.0 : theta_[u * n_ + v];
+  }
+  std::size_t num_users() const override { return n_; }
+
+ private:
+  std::size_t n_;
+  std::vector<double> theta_;
+};
+
+struct ReferenceDistribution {
+  std::vector<std::size_t> choice;
+  double cost = 0.0;
+  bool feasible = true;
+};
+
+struct ReferenceOutcome {
+  std::vector<ApId> placements;
+  S3Stats stats;
+  std::uint64_t distributions = 0;
+  std::size_t cliques = 0;  ///< cover size; the harness needs exactly 1
+};
+
+double reference_social_cost(const social::ThetaProvider& model,
+                             const sim::ApLoadTracker& loads, UserId user,
+                             ApId ap, double threshold) {
+  double cost = 0.0;
+  loads.for_each_station(ap, [&](const sim::ActiveStation& st) {
+    const double th = model.theta(user, st.user);
+    if (threshold < 0.0 || th > threshold) cost += th;
+  });
+  return cost;
+}
+
+/// One multi-member clique, placed the way S3Selector did before the
+/// flat search, against `scratch` (the state with the batch's earlier
+/// cliques committed). `single` serves the fallback.
+void reference_clique(const wlan::Network& net,
+                      const social::ThetaProvider& model,
+                      const S3Config& config,
+                      const std::vector<sim::Arrival>& batch,
+                      const std::vector<std::size_t>& clique,
+                      const sim::ApLoadTracker& scratch, S3Selector& single,
+                      ReferenceOutcome& out) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t m = clique.size();
+  const double threshold =
+      config.count_weak_ties_in_cost ? -1.0 : config.theta_threshold;
+  std::vector<std::vector<double>> member_base(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    const sim::Arrival& a = batch[clique[k]];
+    for (ApId ap : a.candidates) {
+      member_base[k].push_back(
+          reference_social_cost(model, scratch, a.user, ap, threshold));
+    }
+  }
+  std::vector<double> theta(m * m, 0.0);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = i + 1; j < m; ++j) {
+      const double th = model.theta(batch[clique[i]].user,
+                                    batch[clique[j]].user);
+      theta[i * m + j] = th;
+      theta[j * m + i] = th;
+    }
+  }
+
+  auto extend_cost = [&](const ReferenceDistribution& d, std::size_t k,
+                         std::size_t c,
+                         std::unordered_map<ApId, double>& added) {
+    const sim::Arrival& a = batch[clique[k]];
+    const ApId ap = a.candidates[c];
+    added.clear();
+    for (std::size_t p = 0; p < k; ++p) {
+      added[batch[clique[p]].candidates[d.choice[p]]] +=
+          batch[clique[p]].demand_mbps;
+    }
+    if (config.respect_bandwidth &&
+        scratch.headroom_mbps(ap) - added[ap] < a.demand_mbps) {
+      return kInf;
+    }
+    double cost = member_base[k][c];
+    for (std::size_t p = 0; p < k; ++p) {
+      if (batch[clique[p]].candidates[d.choice[p]] == ap) {
+        cost += theta[k * m + p];
+      }
+    }
+    return cost;
+  };
+
+  double space = 1.0;
+  for (std::size_t k = 0; k < m; ++k) {
+    space *= static_cast<double>(batch[clique[k]].candidates.size());
+    if (space > 1e18) break;
+  }
+  const bool exact = space <= static_cast<double>(config.enumeration_limit);
+  ++(exact ? out.stats.exact_enumerations : out.stats.beam_searches);
+  const auto by_cost = [](const ReferenceDistribution& a,
+                          const ReferenceDistribution& b) {
+    return a.cost < b.cost;
+  };
+  std::vector<ReferenceDistribution> frontier{ReferenceDistribution{}};
+  std::unordered_map<ApId, double> added;
+  for (std::size_t k = 0; k < m; ++k) {
+    const std::size_t n_cand = batch[clique[k]].candidates.size();
+    std::vector<ReferenceDistribution> next;
+    for (const ReferenceDistribution& d : frontier) {
+      for (std::size_t c = 0; c < n_cand; ++c) {
+        const double step = extend_cost(d, k, c, added);
+        ReferenceDistribution e = d;
+        e.choice.push_back(c);
+        if (step == kInf) {
+          e.feasible = false;
+          e.cost = kInf;
+        } else if (e.feasible) {
+          e.cost += step;
+        }
+        next.push_back(std::move(e));
+      }
+    }
+    out.distributions += next.size();
+    if (!exact && next.size() > config.beam_width) {
+      std::nth_element(
+          next.begin(),
+          next.begin() + static_cast<std::ptrdiff_t>(config.beam_width),
+          next.end(), by_cost);
+      next.resize(config.beam_width);
+    }
+    frontier = std::move(next);
+  }
+
+  std::vector<ReferenceDistribution> feasible;
+  for (ReferenceDistribution& d : frontier) {
+    if (d.feasible) feasible.push_back(std::move(d));
+  }
+  if (feasible.empty()) {
+    sim::ApLoadTracker local = scratch;
+    for (std::size_t k = 0; k < m; ++k) {
+      const sim::Arrival& a = batch[clique[k]];
+      const ApId ap = single.select_one(a, local);
+      local.associate(a.session_index, ap, a.user, a.demand_mbps);
+      out.placements[clique[k]] = ap;
+    }
+    return;
+  }
+
+  std::sort(feasible.begin(), feasible.end(), by_cost);
+  std::size_t keep = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(
+             static_cast<double>(feasible.size()) * config.top_fraction)));
+  while (keep < feasible.size() &&
+         feasible[keep].cost <= feasible[keep - 1].cost + 1e-12) {
+    ++keep;
+  }
+  const auto domain = net.aps_of_controller(batch[clique[0]].controller);
+  std::vector<double> loads_base(domain.size());
+  std::unordered_map<ApId, std::size_t> domain_index;
+  for (std::size_t i = 0; i < domain.size(); ++i) {
+    loads_base[i] = scratch.demand_mbps(domain[i]);
+    domain_index.emplace(domain[i], i);
+  }
+  const ReferenceDistribution* best = &feasible.front();
+  double best_beta = -1.0;
+  for (std::size_t i = 0; i < keep; ++i) {
+    std::vector<double> loads_tmp = loads_base;
+    for (std::size_t k = 0; k < m; ++k) {
+      const sim::Arrival& a = batch[clique[k]];
+      const auto it = domain_index.find(a.candidates[feasible[i].choice[k]]);
+      if (it != domain_index.end()) loads_tmp[it->second] += a.demand_mbps;
+    }
+    const double beta = analysis::normalized_balance_index(loads_tmp);
+    if (beta > best_beta) {
+      best_beta = beta;
+      best = &feasible[i];
+    }
+  }
+  for (std::size_t k = 0; k < m; ++k) {
+    out.placements[clique[k]] =
+        batch[clique[k]].candidates[best->choice[k]];
+  }
+}
+
+/// S3Selector::place_batch as it was before the flat search: the
+/// tracker copied on every call, each clique committed into the copy.
+ReferenceOutcome reference_place(const wlan::Network& net,
+                                 const social::ThetaProvider& model,
+                                 const S3Config& config,
+                                 const std::vector<sim::Arrival>& batch,
+                                 const sim::ApLoadTracker& loads) {
+  ReferenceOutcome out;
+  out.placements.assign(batch.size(), kInvalidAp);
+  out.stats.batches = 1;
+  const std::size_t n = out.placements.size();
+  social::WeightedGraph graph(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double th = model.theta(batch[i].user, batch[j].user);
+      if (th > config.theta_threshold) graph.add_edge(i, j, th);
+    }
+  }
+  const social::CliqueCoverResult cover =
+      social::clique_cover(graph, config.clique);
+  out.cliques = cover.cliques.size();
+  // The single-user path (select_one, shared with the code under test)
+  // places singles and serves the all-infeasible fallback.
+  S3Selector single(&net, &model, config);
+  sim::ApLoadTracker scratch = loads;
+  for (const std::vector<std::size_t>& clique : cover.cliques) {
+    if (clique.size() == 1) {
+      ++out.stats.singles;
+      out.placements[clique[0]] = single.select_one(batch[clique[0]], scratch);
+    } else {
+      ++out.stats.cliques;
+      out.stats.clique_members += clique.size();
+      out.stats.largest_clique =
+          std::max(out.stats.largest_clique, clique.size());
+      reference_clique(net, model, config, batch, clique, scratch, single,
+                       out);
+    }
+    for (const std::size_t i : clique) {
+      scratch.associate(batch[i].session_index, out.placements[i],
+                        batch[i].user, batch[i].demand_mbps);
+    }
+  }
+  out.stats.bandwidth_fallbacks = single.stats().bandwidth_fallbacks;
+  return out;
+}
+
+void expect_same_stats(const S3Stats& got, const S3Stats& want) {
+  EXPECT_EQ(got.batches, want.batches);
+  EXPECT_EQ(got.singles, want.singles);
+  EXPECT_EQ(got.cliques, want.cliques);
+  EXPECT_EQ(got.clique_members, want.clique_members);
+  EXPECT_EQ(got.largest_clique, want.largest_clique);
+  EXPECT_EQ(got.exact_enumerations, want.exact_enumerations);
+  EXPECT_EQ(got.beam_searches, want.beam_searches);
+  EXPECT_EQ(got.bandwidth_fallbacks, want.bandwidth_fallbacks);
+  EXPECT_EQ(got.empty_candidate_fallbacks, want.empty_candidate_fallbacks);
+  EXPECT_EQ(got.degraded_batches, want.degraded_batches);
+  EXPECT_EQ(got.inexact_covers, want.inexact_covers);
+  EXPECT_EQ(got.incremental_graph_batches, want.incremental_graph_batches);
+}
+
+/// One family of random single-clique batches.
+struct DiffCase {
+  std::size_t aps = 6;
+  double capacity = 20.0;
+  std::size_t max_members = 5;
+  std::size_t max_candidates = 5;
+  std::size_t residents = 10;
+  double max_resident_demand = 3.0;
+  double min_demand = 0.2;
+  double max_demand = 2.0;
+  /// Zero θ to residents, one θ inside the clique, one demand: cost
+  /// and β′ ties everywhere.
+  bool zero_theta = false;
+  /// θ drawn from {0, 0.5, 1}: frequent exact cost ties.
+  bool quantized_theta = false;
+  /// One member demands more than any AP holds: no feasible
+  /// distribution, so the member-by-member fallback runs.
+  bool oversized_member = false;
+  /// Demands in tenths of a Mbit/s: sums land on the capacity, where
+  /// the rounding of the added-demand sums decides feasibility.
+  bool decimal_demands = false;
+  /// Batch pairs drawn across the 0.3 edge threshold: covers of several
+  /// cliques and singles, each placed against the earlier commits.
+  bool several_cliques = false;
+  S3Config config{};
+};
+
+/// Paths the flat search took over a DiffCase run.
+struct DiffCoverage {
+  std::size_t exact = 0;
+  std::size_t beam = 0;
+  std::size_t fallbacks = 0;
+  std::size_t multi_clique_batches = 0;
+};
+
+DiffCoverage run_differential(const DiffCase& dc, std::uint64_t seed,
+                              int trials) {
+  wlan::CampusLayout layout;
+  layout.num_buildings = 1;
+  layout.aps_per_building = dc.aps;
+  layout.ap_capacity_mbps = dc.capacity;
+  const wlan::Network net = wlan::make_campus(layout);
+  util::Counter* const distributions =
+      util::metrics().counter("core.s3.distributions_enumerated");
+  util::Rng rng(seed);
+  DiffCoverage coverage;
+  // Placements are compared from a fresh selector and from one warm
+  // selector reused across trials (state leaking between calls would
+  // show there).
+  TableTheta warm_model(dc.max_members + dc.residents);
+  S3Selector warm(&net, &warm_model, dc.config);
+  for (int trial = 0; trial < trials; ++trial) {
+    const std::size_t m = 2 + rng.index(dc.max_members - 1);
+    const std::size_t n = m + dc.residents;
+    TableTheta model(n);
+    auto draw = [&](double lo) {
+      if (dc.quantized_theta) return 0.5 * static_cast<double>(rng.index(3));
+      return rng.uniform(lo, 1.0);
+    };
+    for (UserId u = 0; u < m; ++u) {
+      for (UserId v = u + 1; v < m; ++v) {
+        // Every batch pair above the 0.3 edge threshold: one clique
+        // (unless several_cliques).
+        double th = dc.zero_theta ? 0.5 : std::max(0.31, draw(0.31));
+        if (dc.several_cliques) th = draw(0.0);
+        model.set(u, v, th);
+      }
+      for (UserId r = static_cast<UserId>(m); r < n; ++r) {
+        model.set(u, r, dc.zero_theta ? 0.0 : draw(0.0));
+      }
+    }
+    sim::ApLoadTracker loads(net);
+    for (std::size_t r = 0; r < dc.residents; ++r) {
+      loads.associate(1000 + r, static_cast<ApId>(rng.index(dc.aps)),
+                      static_cast<UserId>(m + r),
+                      dc.zero_theta ? 1.0
+                                    : rng.uniform(0.1, dc.max_resident_demand));
+    }
+    std::vector<sim::Arrival> batch;
+    for (UserId u = 0; u < m; ++u) {
+      std::vector<ApId> aps(dc.aps);
+      for (std::size_t a = 0; a < dc.aps; ++a) aps[a] = static_cast<ApId>(a);
+      for (std::size_t a = aps.size(); a > 1; --a) {
+        std::swap(aps[a - 1], aps[rng.index(a)]);
+      }
+      aps.resize(1 + rng.index(std::min(dc.max_candidates, dc.aps)));
+      double demand = rng.uniform(dc.min_demand, dc.max_demand);
+      if (dc.zero_theta) demand = 1.0;
+      if (dc.decimal_demands) {
+        demand = 0.1 * static_cast<double>(1 + rng.index(6));
+      }
+      batch.push_back(arrival(u, u, std::move(aps), demand));
+    }
+    if (dc.oversized_member) {
+      batch[rng.index(m)].demand_mbps = dc.capacity + 1.0;
+    }
+
+    const ReferenceOutcome want =
+        reference_place(net, model, dc.config, batch, loads);
+    if (!dc.several_cliques) {
+      EXPECT_EQ(want.cliques, 1u) << "trial " << trial;
+    }
+
+    S3Selector fresh(&net, &model, dc.config);
+    const std::uint64_t before = distributions->value();
+    const sim::BatchResult got = fresh.place_batch({batch}, loads);
+    EXPECT_EQ(distributions->value() - before, want.distributions)
+        << "trial " << trial;
+    EXPECT_EQ(got.placements, want.placements) << "trial " << trial;
+    expect_same_stats(fresh.stats(), want.stats);
+
+    warm_model = model;
+    EXPECT_EQ(warm.place_batch({batch}, loads).placements, want.placements)
+        << "trial " << trial << " (warm selector)";
+
+    coverage.exact += want.stats.exact_enumerations;
+    coverage.beam += want.stats.beam_searches;
+    coverage.fallbacks += want.stats.bandwidth_fallbacks > 0 ? 1 : 0;
+    coverage.multi_clique_batches += want.cliques > 1 ? 1 : 0;
+  }
+  return coverage;
+}
+
+TEST(S3SelectorDifferential, ExactMatchesReference) {
+  const DiffCoverage cov = run_differential(DiffCase{}, 11, 300);
+  EXPECT_EQ(cov.exact, 300u);
+}
+
+TEST(S3SelectorDifferential, BeamMatchesReference) {
+  DiffCase dc;
+  dc.max_members = 7;
+  dc.max_candidates = 4;
+  dc.config.enumeration_limit = 8;
+  dc.config.beam_width = 5;
+  const DiffCoverage cov = run_differential(dc, 12, 300);
+  EXPECT_GT(cov.beam, 200u);
+}
+
+TEST(S3SelectorDifferential, BandwidthInfeasibleMembersMatchReference) {
+  // Tight APs: many prefixes break Σ w(u) ≤ W(i), in both search modes.
+  DiffCase dc;
+  dc.capacity = 6.0;
+  dc.min_demand = 0.5;
+  dc.max_demand = 3.5;
+  dc.max_resident_demand = 2.0;
+  dc.max_members = 6;
+  (void)run_differential(dc, 13, 300);
+  dc.config.enumeration_limit = 16;
+  dc.config.beam_width = 4;
+  const DiffCoverage cov = run_differential(dc, 14, 300);
+  EXPECT_GT(cov.beam, 0u);
+}
+
+TEST(S3SelectorDifferential, DemandRoundingAtCapacityMatchesReference) {
+  // 1 Mbit/s APs, demands in tenths, few candidates: members pile up
+  // on shared APs and each prefix's feasibility turns on how its
+  // added demand was summed.
+  DiffCase dc;
+  dc.capacity = 1.0;
+  dc.residents = 0;
+  dc.decimal_demands = true;
+  dc.aps = 3;
+  dc.max_candidates = 3;
+  dc.max_members = 7;
+  (void)run_differential(dc, 22, 400);
+}
+
+TEST(S3SelectorDifferential, AllInfeasibleFallbackMatchesReference) {
+  DiffCase dc;
+  dc.oversized_member = true;
+  const DiffCoverage cov = run_differential(dc, 15, 200);
+  EXPECT_EQ(cov.fallbacks, 200u);
+  dc.config.enumeration_limit = 8;
+  dc.config.beam_width = 3;
+  EXPECT_EQ(run_differential(dc, 16, 200).fallbacks, 200u);
+}
+
+TEST(S3SelectorDifferential, WeakTiesInCostMatchReference) {
+  DiffCase dc;
+  dc.config.count_weak_ties_in_cost = true;
+  (void)run_differential(dc, 17, 300);
+  dc.config.enumeration_limit = 10;
+  dc.config.beam_width = 6;
+  (void)run_differential(dc, 18, 300);
+}
+
+TEST(S3SelectorDifferential, TopFractionBoundaryTiesMatchReference) {
+  DiffCase dc;
+  dc.quantized_theta = true;
+  dc.max_candidates = 6;
+  for (const double fraction : {0.01, 0.1, 0.3, 0.5, 1.0}) {
+    dc.config.top_fraction = fraction;
+    (void)run_differential(dc, 19, 120);
+  }
+}
+
+TEST(S3SelectorDifferential, SeveralCliquesMatchReference) {
+  // Singles and cliques of one batch, each against the earlier
+  // commits: the tracker copy is made only for these batches.
+  DiffCase dc;
+  dc.several_cliques = true;
+  dc.max_members = 8;
+  dc.capacity = 8.0;
+  const DiffCoverage cov = run_differential(dc, 23, 400);
+  EXPECT_GT(cov.multi_clique_batches, 200u);
+  dc.config.enumeration_limit = 12;
+  dc.config.beam_width = 4;
+  (void)run_differential(dc, 24, 200);
+}
+
+TEST(S3SelectorDifferential, ZeroThetaMassiveTiesMatchReference) {
+  // Equal costs and equal β′ everywhere: the winner is whichever
+  // distribution std::sort leaves first, so this pins the permutation.
+  DiffCase dc;
+  dc.zero_theta = true;
+  dc.max_candidates = 6;
+  dc.residents = 4;
+  (void)run_differential(dc, 20, 300);
+  dc.config.enumeration_limit = 30;
+  dc.config.beam_width = 7;
+  (void)run_differential(dc, 21, 300);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "s3/util/rng.h"
 #include "testing/mini.h"
 
 namespace s3::sim {
@@ -75,6 +76,53 @@ TEST(ApLoadTracker, CopyIsIndependent) {
   copy.associate(2, 0, 1, 2.0);
   EXPECT_EQ(t.station_count(0), 1u);
   EXPECT_EQ(copy.station_count(0), 2u);
+}
+
+/// Station visitation order of every AP.
+std::vector<std::vector<UserId>> station_orders(const ApLoadTracker& t) {
+  std::vector<std::vector<UserId>> orders(t.num_aps());
+  for (ApId a = 0; a < t.num_aps(); ++a) {
+    t.for_each_station(
+        a, [&](const ActiveStation& st) { orders[a].push_back(st.user); });
+  }
+  return orders;
+}
+
+TEST(ApLoadTracker, CopyKeepsStationOrderInStep) {
+  // S3Selector sums C(AP) in for_each_station order and reads either
+  // the caller's tracker or a copy of it, so a copy must visit each
+  // AP's stations in the source's order, now and after the same later
+  // associate/disconnect calls (rehashes included).
+  ApLoadTracker source(testing::mini_network(3));
+  util::Rng rng(7);
+  std::vector<std::pair<std::size_t, ApId>> live;
+  std::size_t sessions = 0;
+  auto random_op = [&](ApLoadTracker& a, ApLoadTracker* b) {
+    if (live.empty() || rng.bernoulli(0.7)) {
+      // Scattered ids spread the stations over many buckets.
+      const std::size_t id = ++sessions * 0x9e3779b97f4a7c15ULL;
+      const ApId ap = static_cast<ApId>(rng.index(3));
+      const UserId user = static_cast<UserId>(sessions);
+      a.associate(id, ap, user, 1.0);
+      if (b != nullptr) b->associate(id, ap, user, 1.0);
+      live.emplace_back(id, ap);
+    } else {
+      const std::size_t i = rng.index(live.size());
+      a.disconnect(live[i].first, live[i].second);
+      if (b != nullptr) b->disconnect(live[i].first, live[i].second);
+      live[i] = live.back();
+      live.pop_back();
+    }
+  };
+  for (int i = 0; i < 200; ++i) random_op(source, nullptr);
+
+  ApLoadTracker copy = source;
+  ASSERT_EQ(station_orders(copy), station_orders(source));
+  for (int i = 0; i < 600; ++i) {
+    random_op(source, &copy);
+    ASSERT_EQ(station_orders(copy), station_orders(source)) << "op " << i;
+  }
+  EXPECT_GT(source.total_stations(), 100u);  // grew through rehashes
 }
 
 TEST(ApLoadTracker, FloatingPointDustClamped) {
