@@ -1,87 +1,200 @@
 #include "s3/social/clique.h"
 
 #include <algorithm>
-#include <numeric>
+#include <span>
 
 #include "s3/util/metrics.h"
 
 namespace s3::social {
 
-std::vector<std::size_t> greedy_coloring(const WeightedGraph& g) {
-  const std::size_t n = g.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const std::size_t da = g.degree(a), db = g.degree(b);
-    if (da != db) return da > db;  // largest degree first
-    return a < b;
-  });
-
-  std::vector<std::size_t> color(n, 0);
-  std::vector<bool> used;
-  for (std::size_t v : order) {
-    used.assign(n, false);
-    for (std::size_t u = 0; u < n; ++u) {
-      if (u != v && g.adjacent(u, v)) used[color[u]] = true;
-    }
-    // Vertices not yet coloured have colour 0 marked used spuriously
-    // only if adjacent; the first free colour is still correct because
-    // an uncoloured neighbour's slot-0 mark merely biases upward.
-    std::size_t c = 0;
-    while (c < n && used[c]) ++c;
-    color[v] = c;
-  }
-  return color;
-}
-
 namespace {
 
-/// Östergård search state over the colour-ordered, permuted graph.
-class OstergardSearch {
+/// The input graph minus the cliques extracted so far, held in place
+/// for one clique_cover call. Live vertices keep ascending index order
+/// and a live degree counts live neighbours only, so after k removals
+/// the view is the graph that k copies with those vertices deleted
+/// would leave, in the same vertex order (DESIGN.md §18). Neighbour
+/// lists are read once from the bitset rows; a list sheds its dead
+/// entries when prune() next scans it.
+class ResidualGraph {
  public:
-  OstergardSearch(const WeightedGraph& g, const CliqueConfig& cfg)
-      : g_(g), cfg_(cfg), n_(g.size()), c_(n_, 0), suffix_(n_, Bitset(n_)) {
-    // Order: colour ascending, then degree descending — small-colour
-    // (sparse) vertices end up late, matching Östergård's suffix walk.
-    const std::vector<std::size_t> color = greedy_coloring(g);
-    order_.resize(n_);
-    std::iota(order_.begin(), order_.end(), std::size_t{0});
-    std::sort(order_.begin(), order_.end(),
-              [&](std::size_t a, std::size_t b) {
-                if (color[a] != color[b]) return color[a] < color[b];
-                const std::size_t da = g.degree(a), db = g.degree(b);
-                if (da != db) return da > db;
-                return a < b;
-              });
+  explicit ResidualGraph(const WeightedGraph& g)
+      : g_(g), begin_(g.size()), end_(g.size()), degree_(g.size()),
+        alive_(g.size(), 1), live_(g.size()) {
+    const std::size_t n = g.size();
+    std::size_t total = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+      begin_[v] = end_[v] = total;
+      degree_[v] = g.degree(v);
+      total += degree_[v];
+      live_[v] = static_cast<std::uint32_t>(v);
+    }
+    nbrs_.resize(total);
+    for (std::size_t v = 0; v < n; ++v) {
+      g.neighbors(v).for_each_set([&](std::size_t u) {
+        nbrs_[end_[v]++] = static_cast<std::uint32_t>(u);
+      });
+    }
+    live_edges_ = total / 2;
+  }
 
-    // Permuted adjacency.
-    adj_.assign(n_, Bitset(n_));
-    for (std::size_t i = 0; i < n_; ++i) {
-      for (std::size_t j = i + 1; j < n_; ++j) {
-        if (g.adjacent(order_[i], order_[j])) {
-          adj_[i].set(j);
-          adj_[j].set(i);
+  const WeightedGraph& graph() const noexcept { return g_; }
+  std::size_t size() const noexcept { return alive_.size(); }
+  /// Live vertices, ascending.
+  const std::vector<std::uint32_t>& live() const noexcept { return live_; }
+  std::size_t live_edges() const noexcept { return live_edges_; }
+  std::size_t degree(std::uint32_t v) const { return degree_[v]; }
+
+  /// v's live neighbours, ascending, after dropping its dead entries.
+  std::span<const std::uint32_t> prune(std::uint32_t v) {
+    std::size_t out = begin_[v];
+    for (std::size_t k = begin_[v]; k < end_[v]; ++k) {
+      if (alive_[nbrs_[k]]) nbrs_[out++] = nbrs_[k];
+    }
+    end_[v] = out;
+    return neighbors(v);
+  }
+
+  /// v's list as of its last prune().
+  std::span<const std::uint32_t> neighbors(std::uint32_t v) const {
+    return std::span<const std::uint32_t>(nbrs_).subspan(
+        begin_[v], end_[v] - begin_[v]);
+  }
+
+  /// Deletes `vertices` and their edges in O(their list lengths), plus
+  /// one pass over the live list.
+  void remove(const std::vector<std::size_t>& vertices) {
+    for (const std::size_t v : vertices) {
+      S3_ASSERT(alive_[v], "ResidualGraph::remove: vertex already removed");
+      alive_[v] = 0;
+      for (std::size_t k = begin_[v]; k < end_[v]; ++k) {
+        const std::uint32_t u = nbrs_[k];
+        if (alive_[u]) {
+          --degree_[u];
+          --live_edges_;
         }
       }
     }
-    for (std::size_t i = 0; i < n_; ++i) {
-      for (std::size_t j = i; j < n_; ++j) suffix_[i].set(j);
+    std::erase_if(live_, [&](std::uint32_t v) { return !alive_[v]; });
+  }
+
+ private:
+  const WeightedGraph& g_;
+  std::vector<std::size_t> begin_;
+  std::vector<std::size_t> end_;
+  std::vector<std::uint32_t> nbrs_;
+  std::vector<std::size_t> degree_;
+  std::vector<std::uint8_t> alive_;
+  std::vector<std::uint32_t> live_;
+  std::size_t live_edges_ = 0;
+};
+
+/// Stable counting sort: `out` receives `in` ordered by key(v)
+/// ascending (every key < num_keys), equal keys in their order in `in`.
+template <class Key>
+void counting_sort(const std::vector<std::uint32_t>& in,
+                   std::size_t num_keys, const Key& key,
+                   std::vector<std::size_t>& starts,
+                   std::vector<std::uint32_t>& out) {
+  starts.assign(num_keys + 1, 0);
+  for (const std::uint32_t v : in) ++starts[key(v) + 1];
+  for (std::size_t k = 1; k <= num_keys; ++k) starts[k] += starts[k - 1];
+  out.resize(in.size());
+  for (const std::uint32_t v : in) out[starts[key(v)]++] = v;
+}
+
+/// Extracts one maximum clique per extract() call from a ResidualGraph:
+/// greedy colouring, the colour-ordered adjacency as flat bit rows,
+/// then Östergård's search over vertex suffixes. Buffers are reused
+/// across the extractions of one cover.
+class CliqueExtractor {
+ public:
+  CliqueExtractor(ResidualGraph& residual, const CliqueConfig& cfg)
+      : r_(residual), g_(residual.graph()), cfg_(cfg),
+        colour_(residual.size()), mark_(residual.size(), 0),
+        pos_(residual.size()) {}
+
+  /// Greedy colouring of the live vertices, taken in degree-descending
+  /// order (ties by index). A live neighbour that is not yet coloured
+  /// still marks colour 0 as taken; the search order, and so every
+  /// cover, depends on this.
+  void colour() {
+    const std::vector<std::uint32_t>& live = r_.live();
+    std::size_t max_degree = 0;
+    for (const std::uint32_t v : live) {
+      colour_[v] = 0;
+      max_degree = std::max(max_degree, r_.degree(v));
+    }
+    counting_sort(
+        live, max_degree + 1,
+        [&](std::uint32_t v) { return max_degree - r_.degree(v); }, starts_,
+        by_degree_);
+    num_colours_ = 0;
+    for (const std::uint32_t v : by_degree_) {
+      ++stamp_;
+      for (const std::uint32_t u : r_.prune(v)) mark_[colour_[u]] = stamp_;
+      std::uint32_t c = 0;
+      while (mark_[c] == stamp_) ++c;
+      colour_[v] = c;
+      num_colours_ = std::max<std::size_t>(num_colours_, c + 1);
     }
   }
 
-  CliqueResult run() {
-    if (n_ == 0) return {};
-    for (std::size_t idx = n_; idx-- > 0;) {
+  /// Vertex colours from the last colour() call (live vertices only).
+  const std::vector<std::uint32_t>& colours() const noexcept {
+    return colour_;
+  }
+
+  /// A maximum clique of the live graph (among those, the heaviest
+  /// when weight_tie_break is set), ascending.
+  CliqueResult extract() {
+    const std::size_t m = r_.live().size();
+    if (m == 0) return {};
+    colour();
+    // Search order: colour ascending, then degree descending, then
+    // index; by_degree_ is already in the order of the last two.
+    counting_sort(
+        by_degree_, num_colours_, [&](std::uint32_t v) { return colour_[v]; },
+        starts_, order_);
+    for (std::size_t i = 0; i < m; ++i) {
+      pos_[order_[i]] = static_cast<std::uint32_t>(i);
+    }
+    words_ = (m + 63) / 64;
+    adj_.assign(m * words_, 0);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (const std::uint32_t u : r_.neighbors(order_[i])) {
+        const std::size_t j = pos_[u];
+        adj_[i * words_ + (j >> 6)] |= std::uint64_t{1} << (j & 63);
+      }
+    }
+    // The stack is a clique and a clique's vertices have distinct
+    // colours, so the search never goes deeper than num_colours_.
+    levels_.resize(num_colours_ * words_);
+    c_.assign(m, 0);
+    best_.clear();
+    best_size_ = 0;
+    best_weight_ = -1.0;
+    aborted_ = false;
+    nodes_ = 0;
+
+    for (std::size_t idx = m; idx-- > 0;) {
       found_ = false;
-      stack_.assign(1, idx);
-      Bitset u = adj_[idx] & suffix_[idx];
-      expand(u, 1, 0.0);
+      stack_.assign(1, static_cast<std::uint32_t>(idx));
+      // Candidates: idx's neighbours later in the search order.
+      const std::size_t lo = idx >> 6;
+      levels_[lo] =
+          adj_[idx * words_ + lo] & (~std::uint64_t{0} << (idx & 63));
+      for (std::size_t k = lo + 1; k < words_; ++k) {
+        levels_[k] = adj_[idx * words_ + k];
+      }
+      expand(1, lo, 0.0);
       c_[idx] = best_size_;
       if (aborted_) break;
     }
+
     CliqueResult result;
     result.vertices.reserve(best_.size());
-    for (std::size_t i : best_) result.vertices.push_back(order_[i]);
+    for (const std::uint32_t i : best_) result.vertices.push_back(order_[i]);
     std::sort(result.vertices.begin(), result.vertices.end());
     result.internal_weight = best_weight_;
     result.nodes_explored = nodes_;
@@ -90,10 +203,6 @@ class OstergardSearch {
   }
 
  private:
-  double edge_weight(std::size_t i, std::size_t j) const {
-    return g_.weight(order_[i], order_[j]);
-  }
-
   void record_leaf(std::size_t size, double weight) {
     if (size > best_size_ ||
         (cfg_.weight_tie_break && size == best_size_ &&
@@ -112,26 +221,46 @@ class OstergardSearch {
     return optimistic == best_size_ && !cfg_.weight_tie_break;
   }
 
-  void expand(Bitset u, std::size_t size, double weight) {
+  /// Expands the node whose clique (stack_) has `size` vertices and
+  /// internal weight `weight`. Its candidates are level row size - 1,
+  /// words [lo, words_); the words below lo hold none.
+  void expand(std::size_t size, std::size_t lo, double weight) {
     if (aborted_) return;
     if (++nodes_ > cfg_.node_budget) {
       aborted_ = true;
       return;
     }
-    if (!u.any()) {
+    const std::size_t row = (size - 1) * words_;
+    std::size_t count = 0;
+    for (std::size_t k = lo; k < words_; ++k) {
+      count += static_cast<std::size_t>(__builtin_popcountll(levels_[row + k]));
+    }
+    if (count == 0) {
       record_leaf(size, weight);
       return;
     }
-    while (u.any()) {
-      if (hopeless(size + u.count())) return;
-      const std::size_t i = u.first();
+    // Candidates leave lowest first, so each scan resumes at word k.
+    std::size_t k = lo;
+    while (count > 0) {
+      if (hopeless(size + count)) return;
+      while (levels_[row + k] == 0) ++k;
+      const std::size_t i = (k << 6) + static_cast<std::size_t>(
+                                           __builtin_ctzll(levels_[row + k]));
       if (hopeless(size + c_[i])) return;
-      u.reset(i);
+      levels_[row + k] &= levels_[row + k] - 1;
+      --count;
 
       double w2 = weight;
-      for (std::size_t v : stack_) w2 += edge_weight(i, v);
-      stack_.push_back(i);
-      expand(u & adj_[i], size + 1, w2);
+      for (const std::uint32_t v : stack_) {
+        w2 += g_.weight(order_[i], order_[v]);
+      }
+      // Child candidates: the remaining ones adjacent to i, all after i.
+      const std::size_t child = size * words_;
+      for (std::size_t j = k; j < words_; ++j) {
+        levels_[child + j] = levels_[row + j] & adj_[i * words_ + j];
+      }
+      stack_.push_back(static_cast<std::uint32_t>(i));
+      expand(size + 1, k, w2);
       stack_.pop_back();
 
       if (aborted_) return;
@@ -139,21 +268,29 @@ class OstergardSearch {
       // best possible is c_[i+1] + 1, already achieved.
       if (found_ && !cfg_.weight_tie_break) return;
     }
-    // All extensions pruned/explored: this node is itself maximal
-    // within the remaining candidate order only if u started empty,
-    // handled above.
   }
 
+  ResidualGraph& r_;
   const WeightedGraph& g_;
   const CliqueConfig cfg_;
-  std::size_t n_;
-  std::vector<std::size_t> order_;
-  std::vector<Bitset> adj_;
-  std::vector<std::size_t> c_;
-  std::vector<Bitset> suffix_;
 
-  std::vector<std::size_t> stack_;
-  std::vector<std::size_t> best_;
+  // Colouring.
+  std::vector<std::uint32_t> colour_;   ///< by vertex
+  std::vector<std::uint64_t> mark_;     ///< by colour: stamp_ when taken
+  std::uint64_t stamp_ = 0;
+  std::size_t num_colours_ = 0;
+  std::vector<std::uint32_t> by_degree_;
+  std::vector<std::size_t> starts_;     ///< counting-sort buffer
+
+  // Search, over permuted indices 0..m-1.
+  std::vector<std::uint32_t> order_;    ///< permuted index -> vertex
+  std::vector<std::uint32_t> pos_;      ///< vertex -> permuted index
+  std::size_t words_ = 0;               ///< 64-bit words per bit row
+  std::vector<std::uint64_t> adj_;      ///< m rows of words_
+  std::vector<std::uint64_t> levels_;   ///< candidate rows, one per depth
+  std::vector<std::size_t> c_;
+  std::vector<std::uint32_t> stack_;
+  std::vector<std::uint32_t> best_;
   std::size_t best_size_ = 0;
   double best_weight_ = -1.0;
   bool found_ = false;
@@ -161,20 +298,35 @@ class OstergardSearch {
   std::uint64_t nodes_ = 0;
 };
 
-}  // namespace
-
-CliqueResult max_clique(const WeightedGraph& g, const CliqueConfig& config) {
+/// One extraction as the metrics bus counts it.
+CliqueResult counted_extract(CliqueExtractor& extractor) {
   static util::Counter* const extractions =
       util::metrics().counter("social.clique_extractions");
   static util::Counter* const nodes =
       util::metrics().counter("social.clique_nodes_explored");
   static util::Counter* const budget_exhausted =
       util::metrics().counter("social.clique_budget_exhausted");
-  CliqueResult result = OstergardSearch(g, config).run();
+  CliqueResult result = extractor.extract();
   extractions->add();
   nodes->add(result.nodes_explored);
   if (!result.exact) budget_exhausted->add();
   return result;
+}
+
+}  // namespace
+
+std::vector<std::size_t> greedy_coloring(const WeightedGraph& g) {
+  ResidualGraph residual(g);
+  CliqueExtractor extractor(residual, CliqueConfig{});
+  extractor.colour();
+  const std::vector<std::uint32_t>& colours = extractor.colours();
+  return std::vector<std::size_t>(colours.begin(), colours.end());
+}
+
+CliqueResult max_clique(const WeightedGraph& g, const CliqueConfig& config) {
+  ResidualGraph residual(g);
+  CliqueExtractor extractor(residual, config);
+  return counted_extract(extractor);
 }
 
 CliqueResult greedy_clique(const WeightedGraph& g) {
@@ -232,36 +384,23 @@ CliqueResult greedy_clique(const WeightedGraph& g) {
 CliqueCoverResult clique_cover(const WeightedGraph& g,
                                const CliqueConfig& config) {
   CliqueCoverResult cover;
-  // current-index -> original-index mapping.
-  std::vector<std::size_t> to_original(g.size());
-  std::iota(to_original.begin(), to_original.end(), std::size_t{0});
-
-  WeightedGraph current = g;
-  while (current.size() > 0) {
-    const CliqueResult r = max_clique(current, config);
+  ResidualGraph residual(g);
+  CliqueExtractor extractor(residual, config);
+  while (!residual.live().empty()) {
+    CliqueResult r = counted_extract(extractor);
     S3_ASSERT(!r.vertices.empty(), "clique_cover: empty clique on non-empty graph");
     cover.exact = cover.exact && r.exact;
     cover.nodes_explored += r.nodes_explored;
 
-    if (r.vertices.size() == 1 && current.num_edges() == 0) {
+    if (r.vertices.size() == 1 && residual.live_edges() == 0) {
       // Only isolated vertices remain: emit them all as singletons.
-      for (std::size_t v = 0; v < current.size(); ++v) {
-        cover.cliques.push_back({to_original[v]});
+      for (const std::uint32_t v : residual.live()) {
+        cover.cliques.push_back({v});
       }
       break;
     }
-
-    std::vector<std::size_t> originals;
-    originals.reserve(r.vertices.size());
-    for (std::size_t v : r.vertices) originals.push_back(to_original[v]);
-    cover.cliques.push_back(originals);
-
-    std::vector<std::size_t> keep;
-    current = current.without(r.vertices, &keep);
-    std::vector<std::size_t> next_map;
-    next_map.reserve(keep.size());
-    for (std::size_t v : keep) next_map.push_back(to_original[v]);
-    to_original = std::move(next_map);
+    residual.remove(r.vertices);
+    cover.cliques.push_back(std::move(r.vertices));
   }
   return cover;
 }

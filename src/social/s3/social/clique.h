@@ -59,7 +59,8 @@ struct CliqueCoverResult {
 /// broken by weight) and delete it, until the graph is empty (§IV-A's
 /// procedure). Singleton vertices come out as size-1 cliques at the
 /// end. Cliques are reported in extraction order, each sorted
-/// ascending.
+/// ascending. `g` is not copied: every extraction runs on one residual
+/// view of it, updated in place as cliques are removed (DESIGN.md §18).
 CliqueCoverResult clique_cover(const WeightedGraph& g,
                                const CliqueConfig& config = {});
 

@@ -30,31 +30,6 @@ bool WeightedGraph::is_clique(const std::vector<std::size_t>& vertices) const {
   return true;
 }
 
-WeightedGraph WeightedGraph::without(
-    const std::vector<std::size_t>& vertices,
-    std::vector<std::size_t>* remap_out) const {
-  std::vector<bool> removed(n_, false);
-  for (std::size_t v : vertices) {
-    S3_REQUIRE(v < n_, "without: vertex out of range");
-    removed[v] = true;
-  }
-  std::vector<std::size_t> keep;
-  keep.reserve(n_);
-  for (std::size_t v = 0; v < n_; ++v) {
-    if (!removed[v]) keep.push_back(v);
-  }
-  WeightedGraph g(keep.size());
-  for (std::size_t i = 0; i < keep.size(); ++i) {
-    for (std::size_t j = i + 1; j < keep.size(); ++j) {
-      if (adjacent(keep[i], keep[j])) {
-        g.add_edge(i, j, weight(keep[i], keep[j]));
-      }
-    }
-  }
-  if (remap_out) *remap_out = std::move(keep);
-  return g;
-}
-
 void for_each_theta_edge(
     const ThetaProvider& model, double threshold, bool strict,
     const std::function<void(UserId, UserId, double)>& fn) {

@@ -105,6 +105,16 @@ class Bitset {
     return bits_;
   }
 
+  /// Calls fn(i) for every set bit i, in ascending order.
+  template <class Fn>
+  void for_each_set(Fn&& fn) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        fn((w << 6) + static_cast<std::size_t>(__builtin_ctzll(bits)));
+      }
+    }
+  }
+
   Bitset& operator&=(const Bitset& o) {
     S3_REQUIRE(bits_ == o.bits_, "Bitset: size mismatch");
     for (std::size_t w = 0; w < words_.size(); ++w) words_[w] &= o.words_[w];
@@ -167,11 +177,6 @@ class WeightedGraph {
 
   /// True iff every pair in `vertices` is adjacent.
   bool is_clique(const std::vector<std::size_t>& vertices) const;
-
-  /// Copy of this graph with `vertices` (and incident edges) removed;
-  /// `remap_out`, if non-null, receives new-index -> old-index.
-  WeightedGraph without(const std::vector<std::size_t>& vertices,
-                        std::vector<std::size_t>* remap_out = nullptr) const;
 
  private:
   std::size_t n_ = 0;

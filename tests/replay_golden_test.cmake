@@ -5,7 +5,13 @@
 # The S3 replays run at --threads 1 and 4 (thread-count invariance) and
 # with --incremental-cliques (same placements, other graph path). The
 # campus exercises ~1,260 exact distribution enumerations and 9 beam
-# searches. Invoked by ctest with -DCLI=<path-to-binary>.
+# searches. The other baselines (llf-demand, rssi, random) replay once
+# each. S3 and s3-online also replay at --threads 1 and 4 under a
+# written fault plan: an AP outage, a controller outage (so each domain
+# runs a primary and a backup controller, with one failover) and a
+# clique-budget squeeze that makes the clique search abort on its node
+# budget 3,584 times in the s3 replay. Invoked by ctest with
+# -DCLI=<path-to-binary>.
 #
 # Regenerate the digests only for an intended behaviour change: run the
 # commands below and take `sha256sum` of each file.
@@ -46,11 +52,36 @@ endforeach()
 run_cli(replay --in "${WORK}/w.csv" --out "${WORK}/s3_incremental.csv"
         --policy s3 --model "${WORK}/model.txt" ${CAMPUS} --threads 1
         --incremental-cliques)
+foreach(policy llf-demand rssi random)
+  run_cli(replay --in "${WORK}/w.csv" --out "${WORK}/${policy}.csv"
+          --policy ${policy} ${CAMPUS})
+endforeach()
+
+file(WRITE "${WORK}/plan.txt"
+"s3fault v1
+ap-outage 3 100000 160000
+controller-outage 1 200000 260000
+clique-budget 0 691200 4
+")
+set(FAULTS --fault-plan "${WORK}/plan.txt" --fault-seed 3)
+foreach(threads 1 4)
+  run_cli(replay --in "${WORK}/w.csv" --out "${WORK}/s3_fault_t${threads}.csv"
+          --policy s3 --model "${WORK}/model.txt" ${CAMPUS}
+          --threads ${threads} ${FAULTS})
+  run_cli(replay --in "${WORK}/w.csv"
+          --out "${WORK}/online_fault_t${threads}.csv"
+          --policy s3-online --model "${WORK}/model.txt" ${CAMPUS}
+          --threads ${threads} ${FAULTS})
+endforeach()
 
 set(S3_DIGEST
     2b45362522b5e2d0a6d94c645d0c6db18183950f080b5fdade6795c13d209485)
 set(ONLINE_DIGEST
     c701ed73c8a99a774ebcaa1484374dccbcb684ed6fd27721fbd2111e42850423)
+set(S3_FAULT_DIGEST
+    ada1766a4e4622ac960f90bb09e9c492a8fb2d2a9553a55607f9e7f4924ed65a)
+set(ONLINE_FAULT_DIGEST
+    52cd8c490c28029508fd15f2ed9da9e59fd01e4a712e2f38bf5b5ee3dec28431)
 set(golden
     "w.csv=33ffe340917e6b271a95d35cf256e334b6eed78f6132039de795e680cd0306cd"
     "llf.csv=00fc4875ab715d52e3b053d7b0f39e88665c7ed514b599b01a32690705a57521"
@@ -59,7 +90,14 @@ set(golden
     "s3_t4.csv=${S3_DIGEST}"
     "s3_incremental.csv=${S3_DIGEST}"
     "online_t1.csv=${ONLINE_DIGEST}"
-    "online_t4.csv=${ONLINE_DIGEST}")
+    "online_t4.csv=${ONLINE_DIGEST}"
+    "llf-demand.csv=30466eb5a22552d0e17cd7a503595c0616bd38cea790eed3cb643f3f811f9a77"
+    "rssi.csv=c52893cde6dab4aa34f17c23ba27816d06b226b81f88a2d75dade740d628f8e3"
+    "random.csv=e0d709784d56ed3e1f1d239f15b78c50d740eef356be19c9bc2936bdbc005a30"
+    "s3_fault_t1.csv=${S3_FAULT_DIGEST}"
+    "s3_fault_t4.csv=${S3_FAULT_DIGEST}"
+    "online_fault_t1.csv=${ONLINE_FAULT_DIGEST}"
+    "online_fault_t4.csv=${ONLINE_FAULT_DIGEST}")
 set(mismatches "")
 foreach(entry IN LISTS golden)
   string(REPLACE "=" ";" parts "${entry}")

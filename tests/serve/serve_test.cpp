@@ -228,7 +228,9 @@ TEST(ServePipeline, SocialSnapshotTracksLiveEventsIncrementally) {
   EXPECT_GE(first.cover_version, 1U);
   // Every user sits in exactly one cover entry.
   EXPECT_LE(first.singletons + 2 * first.cliques, first.users);
-  if (first.cliques > 0) EXPECT_GE(first.largest, 2U);
+  if (first.cliques > 0) {
+    EXPECT_GE(first.largest, 2U);
+  }
 
   // Long co-located stays then a joint departure: encounters and
   // co-leavings stream through the shared store's delta feed.

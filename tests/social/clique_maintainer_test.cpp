@@ -223,7 +223,9 @@ TEST(CliqueMaintainer, SyncFollowsOnlineModelDeltas) {
   // Spot-check the mirror against the provider's current θ.
   for (UserId u = 0; u < m.num_users(); ++u) {
     for (const CliqueMaintainer::Neighbor& nb : m.neighbors(u)) {
-      if (nb.id > u) EXPECT_EQ(nb.weight, online.theta(u, nb.id));
+      if (nb.id > u) {
+        EXPECT_EQ(nb.weight, online.theta(u, nb.id));
+      }
     }
   }
 }

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "s3/util/metrics.h"
 #include "s3/util/rng.h"
@@ -30,6 +33,279 @@ WeightedGraph random_graph(std::size_t n, double p, util::Rng& rng) {
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       if (rng.bernoulli(p)) g.add_edge(i, j, rng.uniform(0.1, 1.0));
+    }
+  }
+  return g;
+}
+
+// ---------------------------------------------------------------------
+// Differential reference: the direct form of the cover. Every
+// extraction recolours the whole current graph with an O(n²) scan,
+// rebuilds the permuted bitset adjacency and the suffix table, and
+// searches with an allocating Östergård recursion; the cover then
+// copies the graph without the extracted clique. clique_cover,
+// max_clique and greedy_coloring must reproduce it bit for bit
+// (DESIGN.md §18).
+namespace reference {
+
+WeightedGraph without(const WeightedGraph& g,
+                      const std::vector<std::size_t>& vertices,
+                      std::vector<std::size_t>* remap_out) {
+  std::vector<bool> removed(g.size(), false);
+  for (std::size_t v : vertices) removed[v] = true;
+  std::vector<std::size_t> keep;
+  for (std::size_t v = 0; v < g.size(); ++v) {
+    if (!removed[v]) keep.push_back(v);
+  }
+  WeightedGraph h(keep.size());
+  for (std::size_t i = 0; i < keep.size(); ++i) {
+    for (std::size_t j = i + 1; j < keep.size(); ++j) {
+      if (g.adjacent(keep[i], keep[j])) {
+        h.add_edge(i, j, g.weight(keep[i], keep[j]));
+      }
+    }
+  }
+  *remap_out = std::move(keep);
+  return h;
+}
+
+std::vector<std::size_t> greedy_coloring(const WeightedGraph& g) {
+  const std::size_t n = g.size();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const std::size_t da = g.degree(a), db = g.degree(b);
+    if (da != db) return da > db;
+    return a < b;
+  });
+  std::vector<std::size_t> color(n, 0);
+  std::vector<bool> used;
+  for (std::size_t v : order) {
+    used.assign(n, false);
+    for (std::size_t u = 0; u < n; ++u) {
+      if (u != v && g.adjacent(u, v)) used[color[u]] = true;
+    }
+    std::size_t c = 0;
+    while (c < n && used[c]) ++c;
+    color[v] = c;
+  }
+  return color;
+}
+
+class OstergardSearch {
+ public:
+  OstergardSearch(const WeightedGraph& g, const CliqueConfig& cfg)
+      : g_(g), cfg_(cfg), n_(g.size()), c_(n_, 0), suffix_(n_, Bitset(n_)) {
+    const std::vector<std::size_t> color = reference::greedy_coloring(g);
+    order_.resize(n_);
+    std::iota(order_.begin(), order_.end(), std::size_t{0});
+    std::sort(order_.begin(), order_.end(),
+              [&](std::size_t a, std::size_t b) {
+                if (color[a] != color[b]) return color[a] < color[b];
+                const std::size_t da = g.degree(a), db = g.degree(b);
+                if (da != db) return da > db;
+                return a < b;
+              });
+    adj_.assign(n_, Bitset(n_));
+    for (std::size_t i = 0; i < n_; ++i) {
+      for (std::size_t j = i + 1; j < n_; ++j) {
+        if (g.adjacent(order_[i], order_[j])) {
+          adj_[i].set(j);
+          adj_[j].set(i);
+        }
+      }
+    }
+    for (std::size_t i = 0; i < n_; ++i) {
+      for (std::size_t j = i; j < n_; ++j) suffix_[i].set(j);
+    }
+  }
+
+  CliqueResult run() {
+    if (n_ == 0) return {};
+    for (std::size_t idx = n_; idx-- > 0;) {
+      found_ = false;
+      stack_.assign(1, idx);
+      expand(adj_[idx] & suffix_[idx], 1, 0.0);
+      c_[idx] = best_size_;
+      if (aborted_) break;
+    }
+    CliqueResult result;
+    for (std::size_t i : best_) result.vertices.push_back(order_[i]);
+    std::sort(result.vertices.begin(), result.vertices.end());
+    result.internal_weight = best_weight_;
+    result.nodes_explored = nodes_;
+    result.exact = !aborted_;
+    return result;
+  }
+
+ private:
+  void record_leaf(std::size_t size, double weight) {
+    if (size > best_size_ ||
+        (cfg_.weight_tie_break && size == best_size_ &&
+         weight > best_weight_)) {
+      if (size > best_size_) found_ = true;
+      best_size_ = size;
+      best_weight_ = weight;
+      best_ = stack_;
+    }
+  }
+
+  bool hopeless(std::size_t optimistic) const {
+    if (optimistic < best_size_) return true;
+    return optimistic == best_size_ && !cfg_.weight_tie_break;
+  }
+
+  void expand(Bitset u, std::size_t size, double weight) {
+    if (aborted_) return;
+    if (++nodes_ > cfg_.node_budget) {
+      aborted_ = true;
+      return;
+    }
+    if (!u.any()) {
+      record_leaf(size, weight);
+      return;
+    }
+    while (u.any()) {
+      if (hopeless(size + u.count())) return;
+      const std::size_t i = u.first();
+      if (hopeless(size + c_[i])) return;
+      u.reset(i);
+      double w2 = weight;
+      for (std::size_t v : stack_) w2 += g_.weight(order_[i], order_[v]);
+      stack_.push_back(i);
+      expand(u & adj_[i], size + 1, w2);
+      stack_.pop_back();
+      if (aborted_) return;
+      if (found_ && !cfg_.weight_tie_break) return;
+    }
+  }
+
+  const WeightedGraph& g_;
+  const CliqueConfig cfg_;
+  std::size_t n_;
+  std::vector<std::size_t> order_;
+  std::vector<Bitset> adj_;
+  std::vector<std::size_t> c_;
+  std::vector<Bitset> suffix_;
+  std::vector<std::size_t> stack_;
+  std::vector<std::size_t> best_;
+  std::size_t best_size_ = 0;
+  double best_weight_ = -1.0;
+  bool found_ = false;
+  bool aborted_ = false;
+  std::uint64_t nodes_ = 0;
+};
+
+/// Counter deltas the cover should add to the metrics bus.
+struct Counts {
+  std::uint64_t extractions = 0;
+  std::uint64_t nodes = 0;
+  std::uint64_t budget_exhausted = 0;
+};
+
+CliqueCoverResult clique_cover(const WeightedGraph& g,
+                               const CliqueConfig& config, Counts* counts) {
+  CliqueCoverResult cover;
+  std::vector<std::size_t> to_original(g.size());
+  std::iota(to_original.begin(), to_original.end(), std::size_t{0});
+  WeightedGraph current = g;
+  while (current.size() > 0) {
+    const CliqueResult r = OstergardSearch(current, config).run();
+    ++counts->extractions;
+    counts->nodes += r.nodes_explored;
+    if (!r.exact) ++counts->budget_exhausted;
+    if (r.vertices.empty()) {
+      throw std::logic_error("clique_cover: empty clique on non-empty graph");
+    }
+    cover.exact = cover.exact && r.exact;
+    cover.nodes_explored += r.nodes_explored;
+    if (r.vertices.size() == 1 && current.num_edges() == 0) {
+      for (std::size_t v = 0; v < current.size(); ++v) {
+        cover.cliques.push_back({to_original[v]});
+      }
+      break;
+    }
+    std::vector<std::size_t> originals;
+    for (std::size_t v : r.vertices) originals.push_back(to_original[v]);
+    cover.cliques.push_back(originals);
+    std::vector<std::size_t> keep;
+    current = reference::without(current, r.vertices, &keep);
+    std::vector<std::size_t> next_map;
+    for (std::size_t v : keep) next_map.push_back(to_original[v]);
+    to_original = std::move(next_map);
+  }
+  return cover;
+}
+
+}  // namespace reference
+
+reference::Counts bus_counts() {
+  reference::Counts counts;
+  for (const util::MetricSample& s : util::metrics().snapshot()) {
+    if (s.name == "social.clique_extractions") counts.extractions = s.count;
+    if (s.name == "social.clique_nodes_explored") counts.nodes = s.count;
+    if (s.name == "social.clique_budget_exhausted") {
+      counts.budget_exhausted = s.count;
+    }
+  }
+  return counts;
+}
+
+/// Checks clique_cover, max_clique and greedy_coloring against the
+/// reference on one graph and configuration, counters included.
+void expect_matches_reference(const WeightedGraph& g, const CliqueConfig& cfg,
+                              const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(greedy_coloring(g), reference::greedy_coloring(g));
+
+  const CliqueResult want = reference::OstergardSearch(g, cfg).run();
+  const reference::Counts before_max = bus_counts();
+  const CliqueResult got = max_clique(g, cfg);
+  const reference::Counts after_max = bus_counts();
+  EXPECT_EQ(got.vertices, want.vertices);
+  EXPECT_EQ(got.internal_weight, want.internal_weight);
+  EXPECT_EQ(got.nodes_explored, want.nodes_explored);
+  EXPECT_EQ(got.exact, want.exact);
+  EXPECT_EQ(after_max.extractions - before_max.extractions, 1u);
+  EXPECT_EQ(after_max.nodes - before_max.nodes, want.nodes_explored);
+  EXPECT_EQ(after_max.budget_exhausted - before_max.budget_exhausted,
+            want.exact ? 0u : 1u);
+
+  reference::Counts want_counts;
+  const CliqueCoverResult want_cover =
+      reference::clique_cover(g, cfg, &want_counts);
+  const reference::Counts before = bus_counts();
+  const CliqueCoverResult got_cover = clique_cover(g, cfg);
+  const reference::Counts after = bus_counts();
+  EXPECT_EQ(got_cover.cliques, want_cover.cliques);
+  EXPECT_EQ(got_cover.exact, want_cover.exact);
+  EXPECT_EQ(got_cover.nodes_explored, want_cover.nodes_explored);
+  EXPECT_EQ(after.extractions - before.extractions, want_counts.extractions);
+  EXPECT_EQ(after.nodes - before.nodes, want_counts.nodes);
+  EXPECT_EQ(after.budget_exhausted - before.budget_exhausted,
+            want_counts.budget_exhausted);
+}
+
+/// Weight from a small set, so that clique weights tie often.
+double coarse_weight(util::Rng& rng) {
+  return 0.25 * static_cast<double>(1 + rng.index(4));
+}
+
+/// Communities of 4-24 members, dense inside and sparsely linked to
+/// each other, so most vertices fall in one giant component.
+WeightedGraph community_graph(std::size_t n, util::Rng& rng) {
+  std::vector<std::size_t> community(n);
+  std::size_t id = 0;
+  for (std::size_t v = 0; v < n;) {
+    const std::size_t size = 4 + rng.index(21);
+    for (std::size_t k = 0; k < size && v < n; ++k) community[v++] = id;
+    ++id;
+  }
+  WeightedGraph g(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double p = community[i] == community[j] ? 0.55 : 0.012;
+      if (rng.bernoulli(p)) g.add_edge(i, j, rng.uniform(0.3, 1.0));
     }
   }
   return g;
@@ -264,6 +540,149 @@ TEST(GreedyClique, ResultIsMaximal) {
       }
     }
     EXPECT_FALSE(adjacent_to_all) << "greedy clique not maximal at " << v;
+  }
+}
+
+// --- Differential: the residual cover against the reference ----------
+
+TEST(CliqueCoverDifferential, WordBoundarySizes) {
+  util::Rng rng(101);
+  for (const std::size_t n : {63u, 64u, 65u, 127u, 128u, 129u}) {
+    for (const double p : {0.05, 0.15, 0.3}) {
+      const WeightedGraph g = random_graph(n, p, rng);
+      expect_matches_reference(g, CliqueConfig{},
+                               "n=" + std::to_string(n) +
+                                   " p=" + std::to_string(p));
+    }
+  }
+}
+
+TEST(CliqueCoverDifferential, SparseCommunitiesWithOneGiantComponent) {
+  util::Rng rng(202);
+  for (const std::size_t n : {200u, 320u}) {
+    const WeightedGraph g = community_graph(n, rng);
+    expect_matches_reference(g, CliqueConfig{},
+                             "communities n=" + std::to_string(n));
+    CliqueConfig no_ties;
+    no_ties.weight_tie_break = false;
+    expect_matches_reference(g, no_ties,
+                             "communities, no tie-break, n=" +
+                                 std::to_string(n));
+  }
+}
+
+TEST(CliqueCoverDifferential, DenseGraphsAndEqualWeights) {
+  util::Rng rng(303);
+  for (const std::size_t n : {24u, 40u, 65u}) {
+    for (const double p : {0.6, 0.8}) {
+      WeightedGraph equal(n), coarse(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) {
+          if (rng.bernoulli(p)) {
+            equal.add_edge(i, j, 1.0);
+            coarse.add_edge(i, j, coarse_weight(rng));
+          }
+        }
+      }
+      CliqueConfig cfg;
+      cfg.node_budget = 200'000;  // bounds the densest searches
+      const std::string label =
+          "n=" + std::to_string(n) + " p=" + std::to_string(p);
+      expect_matches_reference(equal, cfg, "equal weights " + label);
+      expect_matches_reference(coarse, cfg, "coarse weights " + label);
+    }
+  }
+}
+
+TEST(CliqueCoverDifferential, TieBreakOff) {
+  util::Rng rng(404);
+  CliqueConfig cfg;
+  cfg.weight_tie_break = false;
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::size_t n = 20 + rng.index(120);
+    const WeightedGraph g = random_graph(n, rng.uniform(0.05, 0.5), rng);
+    expect_matches_reference(g, cfg, "trial " + std::to_string(trial));
+  }
+}
+
+TEST(CliqueCoverDifferential, NodeBudgetsAbortMidCover) {
+  util::Rng rng(505);
+  const WeightedGraph sparse = community_graph(150, rng);
+  const WeightedGraph dense = random_graph(70, 0.6, rng);
+  for (const std::uint64_t budget : {1u, 2u, 7u, 60u, 900u}) {
+    for (const bool tie_break : {true, false}) {
+      CliqueConfig cfg;
+      cfg.node_budget = budget;
+      cfg.weight_tie_break = tie_break;
+      const std::string label = "budget=" + std::to_string(budget) +
+                                " tie_break=" + std::to_string(tie_break);
+      expect_matches_reference(sparse, cfg, "sparse " + label);
+      expect_matches_reference(dense, cfg, "dense " + label);
+    }
+  }
+}
+
+TEST(CliqueCoverDifferential, ZeroBudgetFailsLikeTheReference) {
+  util::Rng rng(606);
+  const WeightedGraph g = random_graph(30, 0.3, rng);
+  CliqueConfig cfg;
+  cfg.node_budget = 0;
+  const CliqueResult want = reference::OstergardSearch(g, cfg).run();
+  const CliqueResult got = max_clique(g, cfg);
+  EXPECT_TRUE(got.vertices.empty());
+  EXPECT_EQ(got.internal_weight, want.internal_weight);
+  EXPECT_EQ(got.nodes_explored, want.nodes_explored);
+  EXPECT_FALSE(got.exact);
+  reference::Counts counts;
+  EXPECT_THROW(reference::clique_cover(g, cfg, &counts), std::logic_error);
+  EXPECT_THROW(clique_cover(g, cfg), std::logic_error);
+}
+
+TEST(CliqueCoverDifferential, IsolatedVerticesAndEdgelessGraphs) {
+  for (const std::size_t n : {0u, 1u, 2u, 64u, 65u, 130u}) {
+    expect_matches_reference(WeightedGraph(n), CliqueConfig{},
+                             "edgeless n=" + std::to_string(n));
+  }
+  CliqueConfig tight;
+  tight.node_budget = 10;
+  expect_matches_reference(WeightedGraph(40), tight, "edgeless, budget 10");
+
+  // A few cliques among many isolated vertices, on both sides of a
+  // word boundary.
+  util::Rng rng(707);
+  WeightedGraph g(140);
+  for (std::size_t base : {3u, 60u, 126u}) {
+    for (std::size_t i = base; i < base + 5; ++i) {
+      for (std::size_t j = i + 1; j < base + 5; ++j) {
+        g.add_edge(i, j, coarse_weight(rng));
+      }
+    }
+  }
+  g.add_edge(100, 139, 0.5);
+  expect_matches_reference(g, CliqueConfig{}, "cliques among isolated");
+  CliqueConfig no_ties;
+  no_ties.weight_tie_break = false;
+  expect_matches_reference(g, no_ties, "cliques among isolated, no ties");
+}
+
+TEST(CliqueCoverDifferential, SeededSweep) {
+  util::Rng rng(808);
+  for (int trial = 0; trial < 120; ++trial) {
+    const std::size_t n = 1 + rng.index(90);
+    const double p = rng.uniform(0.0, 0.7);
+    WeightedGraph g(n);
+    const bool coarse = rng.bernoulli(0.5);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        if (rng.bernoulli(p)) {
+          g.add_edge(i, j, coarse ? coarse_weight(rng) : rng.uniform(0.1, 1.0));
+        }
+      }
+    }
+    CliqueConfig cfg;
+    cfg.weight_tie_break = rng.bernoulli(0.7);
+    cfg.node_budget = rng.bernoulli(0.25) ? 1 + rng.index(400) : 100'000;
+    expect_matches_reference(g, cfg, "trial " + std::to_string(trial));
   }
 }
 

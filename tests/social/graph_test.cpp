@@ -48,6 +48,18 @@ TEST(Bitset, Intersection) {
   EXPECT_FALSE(c.test(3));
 }
 
+TEST(Bitset, ForEachSetVisitsBitsInAscendingOrder) {
+  Bitset b(130);
+  for (std::size_t i : {129u, 0u, 64u, 63u, 65u, 7u}) b.set(i);
+  std::vector<std::size_t> seen;
+  b.for_each_set([&](std::size_t i) { seen.push_back(i); });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 7, 63, 64, 65, 129}));
+
+  seen.clear();
+  Bitset(70).for_each_set([&](std::size_t i) { seen.push_back(i); });
+  EXPECT_TRUE(seen.empty());
+}
+
 TEST(Bitset, BoundsChecked) {
   Bitset b(10);
   EXPECT_THROW(b.set(10), std::invalid_argument);
@@ -96,28 +108,6 @@ TEST(WeightedGraph, IsClique) {
   EXPECT_TRUE(g.is_clique({0, 1}));
   EXPECT_TRUE(g.is_clique({3}));
   EXPECT_FALSE(g.is_clique({0, 1, 3}));
-}
-
-TEST(WeightedGraph, WithoutRemovesAndRemaps) {
-  WeightedGraph g(5);
-  g.add_edge(0, 1, 0.1);
-  g.add_edge(2, 3, 0.2);
-  g.add_edge(3, 4, 0.3);
-  std::vector<std::size_t> remap;
-  const WeightedGraph h = g.without({0, 1}, &remap);
-  EXPECT_EQ(h.size(), 3u);
-  EXPECT_EQ(remap, (std::vector<std::size_t>{2, 3, 4}));
-  EXPECT_TRUE(h.adjacent(0, 1));   // old (2,3)
-  EXPECT_TRUE(h.adjacent(1, 2));   // old (3,4)
-  EXPECT_DOUBLE_EQ(h.weight(1, 2), 0.3);
-  EXPECT_EQ(h.num_edges(), 2u);
-}
-
-TEST(WeightedGraph, WithoutEverything) {
-  WeightedGraph g(2);
-  g.add_edge(0, 1, 1.0);
-  const WeightedGraph h = g.without({0, 1});
-  EXPECT_EQ(h.size(), 0u);
 }
 
 TEST(WeightedGraph, NeighborsBitset) {
