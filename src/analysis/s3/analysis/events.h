@@ -34,6 +34,12 @@ struct PairEventStats {
 using PairStatsMap =
     std::unordered_map<UserPair, PairEventStats, UserPairHash>;
 
+/// One pair's counts, as extract_pair_events returns them.
+struct PairEventEntry {
+  UserPair pair;
+  PairEventStats stats;
+};
+
 struct EventExtractionConfig {
   /// Co-leaving window (paper sweeps 1–30 min; 5 min is optimal, §V-B).
   util::SimTime co_leave_window = util::SimTime::from_minutes(5);
@@ -43,8 +49,14 @@ struct EventExtractionConfig {
   util::SimTime co_coming_window = util::SimTime::from_minutes(5);
 };
 
-/// Per-pair encounter / co-leave / co-come counts over the whole trace.
-/// The trace must be fully assigned (events are defined per AP).
+/// Per-pair encounter / co-leave / co-come counts over the whole trace,
+/// one entry per pair with at least one event, in strictly ascending
+/// pair order. The trace must be fully assigned (events are defined per
+/// AP).
+std::vector<PairEventEntry> extract_pair_events(
+    const trace::Trace& trace, const EventExtractionConfig& config = {});
+
+/// The same counts as a hash map (for callers that look pairs up).
 PairStatsMap extract_pair_stats(const trace::Trace& trace,
                                 const EventExtractionConfig& config = {});
 

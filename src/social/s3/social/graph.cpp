@@ -42,13 +42,13 @@ void for_each_theta_edge(
   // Pruned path: when the type prior alone cannot clear the threshold,
   // a pair without recorded history has θ = α·T ≤ max_type_term <
   // threshold — so only the store's recorded pairs can produce edges,
-  // and the CSR neighbor index enumerates exactly those.
+  // and the neighbor index enumerates exactly those, each once from its
+  // smaller endpoint, in the dense walk's (u, v) order.
   if (const auto* indexed = dynamic_cast<const SocialIndexModel*>(&model);
       indexed != nullptr && indexed->pair_stats().has_neighbor_index() &&
       indexed->max_type_term() < threshold) {
     for (UserId u = 0; u + 1 < n; ++u) {
-      for (UserId v : indexed->pair_stats().neighbors(u)) {
-        if (v <= u) continue;  // each pair once, from its smaller endpoint
+      for (UserId v : indexed->pair_stats().partners_above(u)) {
         const double th = indexed->theta(u, v);
         if (clears(th)) fn(u, v, th);
       }

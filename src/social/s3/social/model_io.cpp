@@ -1,9 +1,13 @@
 #include "s3/social/model_io.h"
 
+#include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 namespace s3::social {
 
@@ -36,14 +40,137 @@ void put_vec(std::ostream& os, const std::vector<T>& v) {
   }
 }
 
+/// Reads n values in chunks, so `v` grows only with data that actually
+/// arrives: a declared count the stream cannot back allocates at most
+/// one chunk past the stream's end.
 template <typename T>
 bool get_vec(std::istream& is, std::vector<T>& v, std::size_t n) {
-  v.resize(n);
-  if (n == 0) return true;
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(T)));
-  return static_cast<bool>(is);
+  constexpr std::size_t kChunk = (std::size_t{1} << 16) / sizeof(T);
+  v.clear();
+  while (v.size() < n) {
+    const std::size_t done = v.size();
+    const std::size_t k = std::min(n - done, kChunk);
+    v.resize(done + k);
+    is.read(reinterpret_cast<char*>(v.data() + done),
+            static_cast<std::streamsize>(k * sizeof(T)));
+    if (!is) return false;
+  }
+  return true;
 }
+
+/// Bytes from the read position to the end of `is`, or nullopt when the
+/// stream cannot seek (a pipe). Leaves the position and state as found.
+std::optional<std::uint64_t> bytes_left(std::istream& is) {
+  const std::ios::iostate state = is.rdstate();
+  const std::istream::pos_type here = is.tellg();
+  std::optional<std::uint64_t> left;
+  if (here != std::istream::pos_type(-1)) {
+    is.seekg(0, std::ios::end);
+    const std::istream::pos_type end = is.tellg();
+    if (end != std::istream::pos_type(-1) && end >= here) {
+      left = static_cast<std::uint64_t>(end - here);
+    }
+    is.clear();
+    is.seekg(here);
+  }
+  is.clear(state);
+  return left;
+}
+
+// Smallest encoded pair row: "0 1 0 0 0\n" in text (the last row may
+// omit its '\n'), five 32-bit fields in binary. Loaders reserve no more
+// rows than the bytes left could hold.
+constexpr std::uint64_t kMinTextRowBytes = 10;
+constexpr std::uint64_t kBinaryRowBytes = 20;
+
+/// Validates pair rows in file order and feeds them to a SortedBuilder.
+/// The row checks are the same for both encodings.
+class PairRows {
+ public:
+  PairRows(std::size_t expected, std::size_t num_users)
+      : builder_(expected, num_users), num_users_(num_users) {}
+
+  /// nullptr when the row is accepted, else why it is rejected.
+  const char* add(UserId a, UserId b, const PairStore::Stats& ps) {
+    if (a >= num_users_ || b >= num_users_ || a >= b) return "bad user ids";
+    if (ps.co_leaves > ps.encounters) return "co_leaves exceed encounters";
+    const std::uint64_t key = PairStore::pack(UserPair(a, b));
+    if (builder_.size() > 0 && key <= last_) {
+      return key == last_ ? "duplicate pair" : "pairs out of order";
+    }
+    builder_.append(UserPair(a, b), ps);
+    last_ = key;
+    return nullptr;
+  }
+
+  PairStore finish() && { return std::move(builder_).finish(); }
+
+ private:
+  PairStore::SortedBuilder builder_;
+  std::size_t num_users_;
+  std::uint64_t last_ = 0;
+};
+
+bool is_blank(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+/// Parses "a b encounters co_leaves co_comings": five unsigned 32-bit
+/// decimal fields separated by blanks, nothing else but blanks.
+bool parse_text_row(std::string_view line, std::uint32_t (&f)[5]) {
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  for (std::uint32_t& v : f) {
+    while (p != end && is_blank(*p)) ++p;
+    const std::from_chars_result r = std::from_chars(p, end, v);
+    if (r.ec != std::errc{} || (r.ptr != end && !is_blank(*r.ptr))) {
+      return false;
+    }
+    p = r.ptr;
+  }
+  while (p != end && is_blank(*p)) ++p;
+  return p == end;
+}
+
+/// Splits the rest of a stream into lines, reading it in 64 KiB chunks.
+class ChunkedLines {
+ public:
+  explicit ChunkedLines(std::istream& is) : is_(is) {}
+
+  /// The next line without its '\n'; false at the end of the stream.
+  /// The view lives until the next call.
+  bool next(std::string_view& line) {
+    for (;;) {
+      const char* const from = buf_.data() + begin_;
+      if (const void* nl = std::memchr(from, '\n', end_ - begin_)) {
+        const auto len =
+            static_cast<std::size_t>(static_cast<const char*>(nl) - from);
+        line = std::string_view(from, len);
+        begin_ += len + 1;
+        return true;
+      }
+      if (eof_) {
+        if (begin_ == end_) return false;
+        line = std::string_view(from, end_ - begin_);
+        begin_ = end_;
+        return true;
+      }
+      std::memmove(buf_.data(), from, end_ - begin_);
+      end_ -= begin_;
+      begin_ = 0;
+      if (end_ == buf_.size()) buf_.resize(2 * buf_.size());  // long line
+      is_.read(buf_.data() + end_,
+               static_cast<std::streamsize>(buf_.size() - end_));
+      end_ += static_cast<std::size_t>(is_.gcount());
+      eof_ = !is_;
+    }
+  }
+
+ private:
+  std::istream& is_;
+  std::vector<char> buf_ = std::vector<char>(std::size_t{1} << 16);
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+  bool eof_ = false;
+};
 
 }  // namespace
 
@@ -168,7 +295,6 @@ ModelReadResult read_model(std::istream& is) {
     if (!(ls >> key) || key != "type_of_user") {
       return fail("bad type_of_user line");
     }
-    typing.type_of_user.reserve(num_users);
     std::size_t t;
     while (ls >> t) {
       if (t >= num_types) return fail("type id out of range");
@@ -184,7 +310,10 @@ ModelReadResult read_model(std::istream& is) {
     if (!(ls >> key) || key != "centroids") return fail("bad centroids line");
     double v;
     while (ls >> v) typing.centroids.push_back(v);
-    if (typing.centroids.size() != num_types * apps::kNumCategories) {
+    // Division, not num_types * kNumCategories: a declared count near
+    // 2^64 would wrap the product.
+    if (typing.centroids.size() % apps::kNumCategories != 0 ||
+        typing.centroids.size() / apps::kNumCategories != num_types) {
       return fail("centroids arity mismatch");
     }
   }
@@ -194,7 +323,8 @@ ModelReadResult read_model(std::istream& is) {
     if (!(ls >> key) || key != "matrix") return fail("bad matrix line");
     double v;
     while (ls >> v) matrix_values.push_back(v);
-    if (matrix_values.size() != num_types * num_types) {
+    if (matrix_values.size() % num_types != 0 ||
+        matrix_values.size() / num_types != num_types) {
       return fail("matrix arity mismatch");
     }
   }
@@ -217,26 +347,25 @@ ModelReadResult read_model(std::istream& is) {
     }
   }
 
-  PairStore stats(num_pairs);
+  const std::optional<std::uint64_t> left = bytes_left(is);
+  PairRows rows(left ? std::min<std::uint64_t>(
+                           num_pairs, (*left + 1) / kMinTextRowBytes)
+                     : 0,
+                num_users);
+  ChunkedLines lines(is);
+  std::string_view row;
   for (std::size_t p = 0; p < num_pairs; ++p) {
-    if (!std::getline(is, line)) return fail("truncated pair list");
-    std::istringstream ls(line);
-    UserId a, b;
-    PairStore::Stats ps;
-    if (!(ls >> a >> b >> ps.encounters >> ps.co_leaves >> ps.co_comings)) {
+    if (!lines.next(row)) return fail("truncated pair list");
+    std::uint32_t f[5];
+    if (!parse_text_row(row, f)) {
       return fail("bad pair row " + std::to_string(p));
     }
-    if (a >= num_users || b >= num_users || a == b) {
-      return fail("pair row " + std::to_string(p) + ": bad user ids");
+    if (const char* why = rows.add(f[0], f[1], {f[2], f[3], f[4]})) {
+      return fail("pair row " + std::to_string(p) + ": " + why);
     }
-    if (ps.co_leaves > ps.encounters) {
-      return fail("pair row " + std::to_string(p) +
-                  ": co_leaves exceed encounters");
-    }
-    stats.assign(UserPair(a, b), ps);
   }
 
-  return {SocialIndexModel::from_parts(config, std::move(stats),
+  return {SocialIndexModel::from_parts(config, std::move(rows).finish(),
                                        std::move(typing), std::move(matrix)),
           ""};
 }
@@ -301,6 +430,20 @@ ModelReadResult read_model_binary(std::istream& is) {
   if (window_s <= 0 || overlap_s <= 0) return fail("bad event windows");
   if (num_users == 0 || num_types == 0) return fail("bad counts");
   if (config.trained_end_s < -1) return fail("bad trained_end_s");
+  // Bound the counts before any multiplication or allocation: users
+  // take 4 bytes each, types 8 * (kNumCategories + types) each. A stream
+  // that cannot tell its size keeps the products below 2^64 and grows
+  // the vectors with the data that arrives.
+  if (const std::optional<std::uint64_t> left = bytes_left(is)) {
+    if (num_users > *left / 4) return fail("users exceed the bytes left");
+    const std::uint64_t rest = (*left - 4 * num_users) / 8;
+    if (num_types > rest / apps::kNumCategories ||
+        num_types > rest / (apps::kNumCategories + num_types)) {
+      return fail("types exceed the bytes left");
+    }
+  } else if (num_types > std::numeric_limits<std::uint32_t>::max()) {
+    return fail("bad counts");
+  }
   config.events.co_leave_window = util::SimTime(window_s);
   config.events.min_encounter_overlap = util::SimTime(overlap_s);
 
@@ -333,25 +476,26 @@ ModelReadResult read_model_binary(std::istream& is) {
 
   std::uint64_t num_pairs = 0;
   if (!get(is, num_pairs)) return fail("truncated pair count");
-  PairStore stats(num_pairs);
-  for (std::uint64_t p = 0; p < num_pairs; ++p) {
-    UserId a = 0, b = 0;
-    PairStore::Stats ps;
-    if (!get(is, a) || !get(is, b) || !get(is, ps.encounters) ||
-        !get(is, ps.co_leaves) || !get(is, ps.co_comings)) {
-      return fail("truncated pair list");
+  const std::optional<std::uint64_t> left = bytes_left(is);
+  PairRows rows(left ? std::min(num_pairs, *left / kBinaryRowBytes) : 0,
+                num_users);
+  constexpr std::uint64_t kBlockRows = 4096;
+  std::vector<char> block(kBlockRows * kBinaryRowBytes);
+  for (std::uint64_t p = 0; p < num_pairs;) {
+    const std::uint64_t n = std::min(num_pairs - p, kBlockRows);
+    is.read(block.data(), static_cast<std::streamsize>(n * kBinaryRowBytes));
+    if (!is) return fail("truncated pair list");
+    for (const char* r = block.data(); r != block.data() + n * kBinaryRowBytes;
+         r += kBinaryRowBytes, ++p) {
+      std::uint32_t f[5];
+      std::memcpy(f, r, sizeof f);
+      if (const char* why = rows.add(f[0], f[1], {f[2], f[3], f[4]})) {
+        return fail("pair row " + std::to_string(p) + ": " + why);
+      }
     }
-    if (a >= num_users || b >= num_users || a == b) {
-      return fail("pair row " + std::to_string(p) + ": bad user ids");
-    }
-    if (ps.co_leaves > ps.encounters) {
-      return fail("pair row " + std::to_string(p) +
-                  ": co_leaves exceed encounters");
-    }
-    stats.assign(UserPair(a, b), ps);
   }
 
-  return {SocialIndexModel::from_parts(config, std::move(stats),
+  return {SocialIndexModel::from_parts(config, std::move(rows).finish(),
                                        std::move(typing), std::move(matrix)),
           ""};
 }

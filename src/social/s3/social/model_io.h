@@ -61,13 +61,18 @@ bool write_model(std::ostream& os, const SocialIndexModel& model);
 bool write_model_file(const std::string& path, const SocialIndexModel& model);
 
 /// Parses a model written by write_model. Validates counts, matrix
-/// symmetry and id ranges; malformed input yields a row-numbered error.
+/// symmetry and id ranges; pair rows must be strictly ascending, and a
+/// malformed row yields a row-numbered error. Declared counts never
+/// size more than the bytes left in `is` can hold, so hostile input
+/// returns an error rather than throwing or hanging.
 ModelReadResult read_model(std::istream& is);
 ModelReadResult read_model_file(const std::string& path);
 
 // ---- Stream-level binary format (v1) ---------------------------------
 
 bool write_model_binary(std::ostream& os, const SocialIndexModel& model);
+/// The binary counterpart of read_model, with the same row checks and
+/// count bounds.
 ModelReadResult read_model_binary(std::istream& is);
 
 }  // namespace s3::social

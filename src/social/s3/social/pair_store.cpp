@@ -69,6 +69,10 @@ void PairStore::clear() {
 }
 
 void PairStore::reserve(std::size_t expected_pairs) {
+  // Bounds the doubling below: the loop ends at cap < 4 * expected_pairs,
+  // which cannot overflow and stays within what a vector can hold.
+  S3_REQUIRE(expected_pairs <= slots_.max_size() / 4,
+             "PairStore::reserve: pair count too large to size a table");
   std::size_t cap = kMinCapacity;
   // Load-factor bound 1/2: misses in a linear-probe table cost
   // ~(1 + 1/(1-a)^2)/2 probes — 8.5 at a=3/4 but only 2.5 at a=1/2,
@@ -91,7 +95,6 @@ void PairStore::rehash(std::size_t new_capacity) {
     while (slots_[i].key != kEmptyKey) i = (i + 1) & mask;
     slots_[i] = s;
   }
-  drop_neighbor_index();
 }
 
 std::vector<PairStore::Entry> PairStore::sorted_entries() const {
@@ -104,48 +107,64 @@ std::vector<PairStore::Entry> PairStore::sorted_entries() const {
 }
 
 void PairStore::build_neighbor_index(std::size_t num_users) {
-  nbr_offsets_.assign(num_users + 1, 0);
-  for_each([&](UserPair p, const Stats&) {
+  std::vector<std::uint64_t> keys;
+  keys.reserve(size_);
+  for (const Slot& s : slots_) {
+    if (s.key != kEmptyKey) keys.push_back(s.key);
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::size_t> offsets(num_users + 1, 0);
+  std::vector<UserId> ids;
+  ids.reserve(keys.size());
+  for (const std::uint64_t key : keys) {
+    const UserPair p = unpack(key);
     S3_REQUIRE(p.b < num_users,
                "PairStore::build_neighbor_index: user out of range");
-    ++nbr_offsets_[p.a + 1];
-    ++nbr_offsets_[p.b + 1];
-  });
-  for (std::size_t u = 0; u < num_users; ++u) {
-    nbr_offsets_[u + 1] += nbr_offsets_[u];
+    ++offsets[p.a + 1];
+    ids.push_back(p.b);
   }
-  nbr_ids_.resize(2 * size_);
-  nbr_slots_.resize(2 * size_);
-  std::vector<std::size_t> cursor(nbr_offsets_.begin(),
-                                  nbr_offsets_.end() - 1);
-  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    if (slots_[slot].key == kEmptyKey) continue;
-    const UserPair p = unpack(slots_[slot].key);
-    nbr_ids_[cursor[p.a]] = p.b;
-    nbr_slots_[cursor[p.a]++] = slot;
-    nbr_ids_[cursor[p.b]] = p.a;
-    nbr_slots_[cursor[p.b]++] = slot;
-  }
-  // Sort each row by partner id, carrying the slot column along.
-  std::vector<std::pair<UserId, std::uint32_t>> row;
-  for (std::size_t u = 0; u < num_users; ++u) {
-    const std::size_t lo = nbr_offsets_[u], hi = nbr_offsets_[u + 1];
-    row.clear();
-    for (std::size_t i = lo; i < hi; ++i) {
-      row.emplace_back(nbr_ids_[i], nbr_slots_[i]);
-    }
-    std::sort(row.begin(), row.end());
-    for (std::size_t i = lo; i < hi; ++i) {
-      nbr_ids_[i] = row[i - lo].first;
-      nbr_slots_[i] = row[i - lo].second;
-    }
-  }
+  for (std::size_t u = 0; u < num_users; ++u) offsets[u + 1] += offsets[u];
+  nbr_offsets_ = std::move(offsets);
+  nbr_ids_ = std::move(ids);
 }
 
 void PairStore::drop_neighbor_index() {
   nbr_offsets_.clear();
   nbr_ids_.clear();
-  nbr_slots_.clear();
+}
+
+PairStore::SortedBuilder::SortedBuilder(std::size_t expected_pairs,
+                                        std::size_t num_users)
+    : store_(expected_pairs), offsets_(num_users + 1, 0) {
+  ids_.reserve(expected_pairs);
+}
+
+void PairStore::SortedBuilder::append(UserPair p, const Stats& stats) {
+  S3_REQUIRE(p.a != p.b, "PairStore::SortedBuilder: self pair");
+  S3_REQUIRE(p.b + std::size_t{1} < offsets_.size(),
+             "PairStore::SortedBuilder: user out of range");
+  const std::uint64_t key = pack(p);
+  S3_REQUIRE(store_.size_ == 0 || key > last_key_,
+             "PairStore::SortedBuilder: pairs must be strictly ascending");
+  // Ascending keys are all new, so the probe always ends on an empty
+  // slot — the same slot assign() would pick.
+  store_.grow_if_needed();
+  Slot& slot = store_.slots_[store_.probe(key)];
+  slot.key = key;
+  slot.stats = stats;
+  ++store_.size_;
+  ++offsets_[p.a + 1];
+  ids_.push_back(p.b);
+  last_key_ = key;
+}
+
+PairStore PairStore::SortedBuilder::finish() && {
+  for (std::size_t u = 0; u + 1 < offsets_.size(); ++u) {
+    offsets_[u + 1] += offsets_[u];
+  }
+  store_.nbr_offsets_ = std::move(offsets_);
+  store_.nbr_ids_ = std::move(ids_);
+  return std::move(store_);
 }
 
 PairStore PairStore::from_map(const analysis::PairStatsMap& map) {

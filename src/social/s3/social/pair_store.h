@@ -8,11 +8,11 @@
 // key + counters inline in a single contiguous power-of-two slot array
 // with linear probing, so a probe is a multiply-shift hash plus a short
 // streak of adjacent cache lines. Deletion is backward-shift (no
-// tombstones), so chains never decay. A frozen table can additionally
-// build a CSR-style per-user neighbor index: for every user, the
-// sorted list of partners it has recorded history with, plus the slot
-// of each pair's counters — the iteration order graph construction
-// wants and the hash table cannot give.
+// tombstones), so chains never decay. A frozen table also carries a
+// neighbor index: for every user u, the ascending partners v > u it has
+// recorded history with — the iteration order graph construction wants
+// and the hash table cannot give. A frozen store is built in one pass
+// by SortedBuilder from entries in ascending pair order.
 #pragma once
 
 #include <cstdint>
@@ -75,6 +75,8 @@ class PairStore {
   bool erase(UserPair p);
 
   void clear();
+  /// Sizes the table so `expected_pairs` entries fit without a rehash.
+  /// Rejects (std::invalid_argument) a count no table could hold.
   void reserve(std::size_t expected_pairs);
 
   /// Applies fn(UserPair, const Stats&) to every entry, in slot order
@@ -86,10 +88,7 @@ class PairStore {
     }
   }
 
-  struct Entry {
-    UserPair pair;
-    Stats stats;
-  };
+  using Entry = analysis::PairEventEntry;
   /// All entries sorted by (a, b) — the canonical order serialization
   /// uses so written models do not depend on table capacity or
   /// insertion order.
@@ -133,37 +132,32 @@ class PairStore {
     return {slots_.data() + slots_.size(), slots_.data() + slots_.size()};
   }
 
-  // ---- CSR neighbor index ----------------------------------------------
+  // ---- Neighbor index -------------------------------------------------
   //
-  // Frozen-table accelerator: neighbors(u) is the ascending list of
-  // users that share a recorded pair with u; neighbor_slots(u) is the
-  // parallel list of slot indices of those pairs' counters. Any
-  // mutation (upsert of a new pair, erase, rehash) invalidates the
-  // index; updating counters of an existing pair does not.
+  // Frozen-table accelerator: partners_above(u) is the ascending list of
+  // users v > u that share a recorded pair with u — the b column of the
+  // entries in sorted order. The index holds no slot positions, so a
+  // rehash keeps it; updating counters of an existing pair keeps it; a
+  // fresh insert or an erase drops it.
 
-  /// Builds the index. Every recorded user id must be < num_users.
+  class SortedBuilder;
+
+  /// Builds the index (one sort of the keys). Every recorded user id
+  /// must be < num_users.
   void build_neighbor_index(std::size_t num_users);
   bool has_neighbor_index() const noexcept { return !nbr_offsets_.empty(); }
+  /// User count the index was built for; 0 without an index.
+  std::size_t neighbor_index_users() const noexcept {
+    return nbr_offsets_.empty() ? 0 : nbr_offsets_.size() - 1;
+  }
   void drop_neighbor_index();
 
-  std::span<const UserId> neighbors(UserId u) const {
+  std::span<const UserId> partners_above(UserId u) const {
     S3_REQUIRE(has_neighbor_index(), "PairStore: no neighbor index");
-    S3_REQUIRE(u + 1 < nbr_offsets_.size(),
-               "PairStore::neighbors: user out of range");
+    S3_REQUIRE(std::size_t{u} < neighbor_index_users(),
+               "PairStore::partners_above: user out of range");
     return std::span<const UserId>(nbr_ids_)
         .subspan(nbr_offsets_[u], nbr_offsets_[u + 1] - nbr_offsets_[u]);
-  }
-  std::span<const std::uint32_t> neighbor_slots(UserId u) const {
-    S3_REQUIRE(has_neighbor_index(), "PairStore: no neighbor index");
-    S3_REQUIRE(u + 1 < nbr_offsets_.size(),
-               "PairStore::neighbor_slots: user out of range");
-    return std::span<const std::uint32_t>(nbr_slots_)
-        .subspan(nbr_offsets_[u], nbr_offsets_[u + 1] - nbr_offsets_[u]);
-  }
-  const Stats& stats_at(std::uint32_t slot) const {
-    S3_REQUIRE(slot < slots_.size() && slots_[slot].key != kEmptyKey,
-               "PairStore::stats_at: bad slot");
-    return slots_[slot].stats;
   }
 
   // ---- Conversions ------------------------------------------------------
@@ -209,10 +203,36 @@ class PairStore {
   std::size_t size_ = 0;
   std::size_t max_load_ = 0;  ///< rehash when size_ would exceed this
 
-  // CSR index (empty = not built).
+  // Neighbor index (empty = not built): row u is
+  // nbr_ids_[nbr_offsets_[u], nbr_offsets_[u + 1]).
   std::vector<std::size_t> nbr_offsets_;
   std::vector<UserId> nbr_ids_;
-  std::vector<std::uint32_t> nbr_slots_;
+};
+
+/// Builds a frozen store from entries that arrive in strictly ascending
+/// pair order, filling the hash table and the neighbor index in the
+/// same pass. A table pre-sized for the expected count is laid out
+/// exactly as assigning the same entries in the same order would lay
+/// it out; more entries than expected grow it as upsert would.
+class PairStore::SortedBuilder {
+ public:
+  /// Every appended id must be < num_users.
+  SortedBuilder(std::size_t expected_pairs, std::size_t num_users);
+
+  /// Adds one entry. Rejects (std::invalid_argument) a self pair, an id
+  /// >= num_users, and a pair not greater than the previous one.
+  void append(UserPair p, const Stats& stats);
+
+  std::size_t size() const noexcept { return store_.size(); }
+
+  /// The store, with its neighbor index built for num_users.
+  PairStore finish() &&;
+
+ private:
+  PairStore store_;
+  std::vector<std::size_t> offsets_;  ///< per-user counts until finish()
+  std::vector<UserId> ids_;
+  std::uint64_t last_key_ = 0;
 };
 
 }  // namespace s3::social

@@ -50,22 +50,31 @@ SocialIndexModel SocialIndexModel::train(const trace::Trace& training,
              "SocialIndexModel::train: negative history");
 
   // Optionally restrict to the last `history_days` days of the trace
-  // (Fig. 11's look-back sweep).
-  trace::Trace window = training;
+  // (Fig. 11's look-back sweep); otherwise learn from `training` itself.
+  trace::Trace sliced;
+  const trace::Trace* window = &training;
   if (config.history_days > 0) {
     const util::SimTime end = training.end_time();
     const util::SimTime begin =
         end - util::SimTime::from_days(config.history_days);
-    window = training.slice(begin, end);
+    sliced = training.slice(begin, end);
+    window = &sliced;
   }
 
   SocialIndexModel model;
   model.config_ = config;
   model.config_.trained_end_s = training.end_time().seconds();
-  model.stats_ =
-      PairStore::from_map(analysis::extract_pair_stats(window, config.events));
+  {
+    const std::vector<analysis::PairEventEntry> events =
+        analysis::extract_pair_events(*window, config.events);
+    PairStore::SortedBuilder builder(events.size(), window->num_users());
+    for (const analysis::PairEventEntry& e : events) {
+      builder.append(e.pair, e.stats);
+    }
+    model.stats_ = std::move(builder).finish();
+  }
 
-  const apps::ProfileStore profiles = analysis::build_profiles(window);
+  const apps::ProfileStore profiles = analysis::build_profiles(*window);
   model.typing_ = cluster_users(profiles.normalized_profiles(), config.typing);
   model.matrix_ = estimate_type_matrix(model.typing_, model.stats_);
   model.finalize();
@@ -140,8 +149,9 @@ double SocialIndexModel::max_type_term() const {
 }
 
 void SocialIndexModel::finalize() {
-  if (!typing_.type_of_user.empty() && !stats_.empty()) {
-    stats_.build_neighbor_index(typing_.type_of_user.size());
+  const std::size_t n = num_users();
+  if (n > 0 && stats_.neighbor_index_users() != n) {
+    stats_.build_neighbor_index(n);
   }
 }
 

@@ -161,7 +161,8 @@ class SocialIndexModel : public ThetaProvider {
                                      TypeCoLeaveMatrix matrix);
 
  private:
-  void finalize();  ///< builds the CSR neighbor index over stats_
+  /// Keeps a neighbor index built for num_users(); rebuilds any other.
+  void finalize();
 
   SocialModelConfig config_{};
   PairStore stats_;

@@ -115,6 +115,24 @@ run_cli_expect_failure("validate_social_graph.*negative"
 run_cli_expect_failure("validate_social_graph"
         check model --in "${WORK}/bad.model" --mode abort)
 
+# Hostile counts in an otherwise valid model fail cleanly: a pair count
+# of 2^64 - 1 used to spin forever sizing the table, and a type count of
+# 2^63 wrapped types * 6 and types^2 to 0, so empty centroid and matrix
+# lines passed their arity checks and the loader read past them.
+file(READ "${WORK}/good.model" good_text)
+string(REPLACE "pairs 1" "pairs 18446744073709551615" huge_pairs "${good_text}")
+file(WRITE "${WORK}/huge_pairs.model" "${huge_pairs}")
+run_cli_expect_failure("cannot read model.*truncated pair list"
+        check model --in "${WORK}/huge_pairs.model")
+string(REPLACE "types 1" "types 9223372036854775808" huge_types
+       "${good_text}")
+string(REPLACE "centroids 0.1 0.1 0.1 0.1 0.1 0.1" "centroids" huge_types
+       "${huge_types}")
+string(REPLACE "matrix 0.5" "matrix" huge_types "${huge_types}")
+file(WRITE "${WORK}/huge_types.model" "${huge_types}")
+run_cli_expect_failure("cannot read model.*centroids arity mismatch"
+        check model --in "${WORK}/huge_types.model")
+
 # --- fixture 4: clique cover that does not partition the graph -------
 
 file(WRITE "${WORK}/good.cover" "0 1\n2\n")

@@ -10,8 +10,10 @@
 # written fault plan: an AP outage, a controller outage (so each domain
 # runs a primary and a backup controller, with one failover) and a
 # clique-budget squeeze that makes the clique search abort on its node
-# budget 3,584 times in the s3 replay. Invoked by ctest with
-# -DCLI=<path-to-binary>.
+# budget 3,584 times in the s3 replay. The model is also trained in the
+# binary encoding and over the last 4 days only (the history slice),
+# and an S3 replay from the binary model must place exactly like the
+# one from the text model. Invoked by ctest with -DCLI=<path-to-binary>.
 #
 # Regenerate the digests only for an intended behaviour change: run the
 # commands below and take `sha256sum` of each file.
@@ -41,6 +43,12 @@ run_cli(generate --out "${WORK}/w.csv" --users 600 --days 8 ${CAMPUS}
 run_cli(replay --in "${WORK}/w.csv" --out "${WORK}/llf.csv" --policy llf
         ${CAMPUS})
 run_cli(train --in "${WORK}/llf.csv" --out "${WORK}/model.txt")
+run_cli(train --in "${WORK}/llf.csv" --out "${WORK}/model.bin"
+        --model-format binary)
+run_cli(train --in "${WORK}/llf.csv" --out "${WORK}/model_h4.txt"
+        --history 4)
+run_cli(replay --in "${WORK}/w.csv" --out "${WORK}/s3_bin.csv"
+        --policy s3 --model "${WORK}/model.bin" ${CAMPUS} --threads 1)
 foreach(threads 1 4)
   run_cli(replay --in "${WORK}/w.csv" --out "${WORK}/s3_t${threads}.csv"
           --policy s3 --model "${WORK}/model.txt" ${CAMPUS}
@@ -86,6 +94,9 @@ set(golden
     "w.csv=33ffe340917e6b271a95d35cf256e334b6eed78f6132039de795e680cd0306cd"
     "llf.csv=00fc4875ab715d52e3b053d7b0f39e88665c7ed514b599b01a32690705a57521"
     "model.txt=10ce2e4c1aa1c31ff213a5df862720b27f1e1785aaf8222dbd0e6c111bea7389"
+    "model.bin=3349a002dec153a411980fb010175ec13a063071e16c7e068a4097451e12ef47"
+    "model_h4.txt=4b3ff13e589b651798478361c55cb0aefe59c73670b9f8a0c46fa8f2d054a8d4"
+    "s3_bin.csv=${S3_DIGEST}"
     "s3_t1.csv=${S3_DIGEST}"
     "s3_t4.csv=${S3_DIGEST}"
     "s3_incremental.csv=${S3_DIGEST}"

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <streambuf>
 
 #include "s3/trace/generator.h"
 #include "s3/wlan/radio.h"
@@ -30,6 +32,64 @@ SocialIndexModel sample_model() {
   return SocialIndexModel::from_parts(cfg, std::move(stats), std::move(typing),
                                       std::move(matrix));
 }
+
+std::string text_of(const SocialIndexModel& model) {
+  std::ostringstream os;
+  EXPECT_TRUE(write_model(os, model));
+  return os.str();
+}
+
+std::string binary_of(const SocialIndexModel& model) {
+  std::ostringstream os;
+  EXPECT_TRUE(write_model_binary(os, model));
+  return os.str();
+}
+
+/// Replaces the first line starting with `key ` by "key value".
+std::string with_header(std::string text, const std::string& key,
+                        const std::string& value) {
+  const std::size_t at = text.find("\n" + key + " ");
+  EXPECT_NE(at, std::string::npos) << key;
+  const std::size_t end = text.find('\n', at + 1);
+  return text.replace(at + 1, end - at - 1, key + " " + value);
+}
+
+/// Overwrites the 64-bit count at byte `offset` of a binary model.
+std::string with_count(std::string bin, std::size_t offset,
+                       std::uint64_t value) {
+  std::memcpy(bin.data() + offset, &value, sizeof value);
+  return bin;
+}
+
+// Binary layout offsets: magic (8), alpha, window, overlap, trained_end
+// (8 each), then users at 40, types at 48; the pair count sits just
+// before the 20-byte pair rows.
+constexpr std::size_t kUsersOffset = 40;
+constexpr std::size_t kTypesOffset = 48;
+std::size_t pairs_offset(const std::string& bin, std::size_t pairs) {
+  return bin.size() - 20 * pairs - 8;
+}
+
+ModelReadResult read_text(const std::string& text) {
+  std::istringstream is(text);
+  return read_model(is);
+}
+
+ModelReadResult read_binary(const std::string& bin) {
+  std::istringstream is(bin);
+  return read_model_binary(is);
+}
+
+/// A read-only streambuf that cannot seek, like a pipe.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string data) : data_(std::move(data)) {
+    setg(data_.data(), data_.data(), data_.data() + data_.size());
+  }
+
+ private:
+  std::string data_;
+};
 
 TEST(ModelIo, RoundTripPreservesEverything) {
   const SocialIndexModel original = sample_model();
@@ -300,6 +360,155 @@ TEST(ModelIo, BinaryRoundTripTrainedModelAcrossFormats) {
       EXPECT_EQ(via_bin.model->theta(u, v), via_text.model->theta(u, v));
     }
   }
+}
+
+TEST(ModelIo, RejectsPairCountNoTableCanHold) {
+  // pairs = 2^64 - 1 used to spin forever in PairStore::reserve.
+  const SocialIndexModel m = sample_model();
+  const ModelReadResult text =
+      read_text(with_header(text_of(m), "pairs", "18446744073709551615"));
+  EXPECT_FALSE(text.model.has_value());
+  EXPECT_NE(text.error.find("truncated pair list"), std::string::npos)
+      << text.error;
+  const std::string bin = binary_of(m);
+  const ModelReadResult binary =
+      read_binary(with_count(bin, pairs_offset(bin, 2), ~std::uint64_t{0}));
+  EXPECT_FALSE(binary.model.has_value());
+  EXPECT_NE(binary.error.find("truncated pair list"), std::string::npos)
+      << binary.error;
+}
+
+TEST(ModelIo, RejectsTypeCountsThatWrapTheArityProducts) {
+  // types = 2^63 wrapped types * 6 and types^2 to 0, so empty centroid
+  // and matrix data passed the arity checks and the symmetry loop read
+  // past them.
+  const SocialIndexModel m = sample_model();
+  std::string hostile = with_header(text_of(m), "types", "9223372036854775808");
+  hostile = with_header(hostile, "centroids", "");
+  hostile = with_header(hostile, "matrix", "");
+  const ModelReadResult text = read_text(hostile);
+  EXPECT_FALSE(text.model.has_value());
+  EXPECT_NE(text.error.find("centroids arity"), std::string::npos)
+      << text.error;
+  for (const std::uint64_t types :
+       {std::uint64_t{1} << 63, std::uint64_t{1} << 62, ~std::uint64_t{0},
+        std::uint64_t{1} << 32}) {
+    const ModelReadResult binary =
+        read_binary(with_count(binary_of(m), kTypesOffset, types));
+    EXPECT_FALSE(binary.model.has_value()) << types;
+    EXPECT_NE(binary.error.find("types exceed"), std::string::npos)
+        << binary.error;
+  }
+}
+
+TEST(ModelIo, HugeDeclaredCountsReturnErrorsInsteadOfThrowing) {
+  // users or pairs of 2^40 used to let std::bad_alloc escape.
+  const SocialIndexModel m = sample_model();
+  const std::string huge = std::to_string(std::uint64_t{1} << 40);
+  for (const char* key : {"users", "pairs"}) {
+    ModelReadResult r;
+    EXPECT_NO_THROW(r = read_text(with_header(text_of(m), key, huge))) << key;
+    EXPECT_FALSE(r.model.has_value()) << key;
+  }
+  const std::string bin = binary_of(m);
+  for (const std::size_t offset : {kUsersOffset, pairs_offset(bin, 2)}) {
+    ModelReadResult r;
+    EXPECT_NO_THROW(r = read_binary(
+                        with_count(bin, offset, std::uint64_t{1} << 40)))
+        << offset;
+    EXPECT_FALSE(r.model.has_value()) << offset;
+  }
+  // "users -1" reads as 2^64 - 1 through operator>>.
+  ModelReadResult r;
+  EXPECT_NO_THROW(r = read_text(with_header(text_of(m), "users", "-1")));
+  EXPECT_FALSE(r.model.has_value());
+}
+
+TEST(ModelIo, RejectsBadPairRowsWithTheirRowNumber) {
+  // sample_model() writes the rows "0 1 5 3 2" (row 0) and "2 4 2 2 0"
+  // (row 1).
+  const std::string text = text_of(sample_model());
+  const auto reject = [&](const std::string& from, const std::string& to,
+                          const std::string& why) {
+    std::string bad = text;
+    const std::size_t at = bad.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    bad.replace(at, from.size(), to);
+    const ModelReadResult r = read_text(bad);
+    EXPECT_FALSE(r.model.has_value()) << to;
+    EXPECT_NE(r.error.find(why), std::string::npos) << to << ": " << r.error;
+  };
+  reject("2 4 2 2 0", "0 1 5 3 2", "pair row 1: duplicate pair");
+  reject("0 1 5 3 2", "0 1 -1 0 0", "bad pair row 0");
+  reject("0 1 5 3 2", "0 1 5 3 2 7", "bad pair row 0");
+  reject("0 1 5 3 2", "0 1 5 3 2x", "bad pair row 0");
+  reject("0 1 5 3 2", "0 1 5 3", "bad pair row 0");
+  reject("0 1 5 3 2", "0 1 5 3 4294967296", "bad pair row 0");
+  reject("0 1 5 3 2", "0 1 +5 3 2", "bad pair row 0");
+  reject("0 1 5 3 2", "3 4 5 3 2", "pair row 1: pairs out of order");
+  reject("2 4 2 2 0", "4 2 2 2 0", "pair row 1: bad user ids");
+
+  // Blanks around fields and a missing final newline still load.
+  std::string loose = text;
+  loose.replace(loose.find("0 1 5 3 2"), 9, " 0\t1  5 3 2\r");
+  loose.pop_back();
+  const ModelReadResult ok = read_text(loose);
+  ASSERT_TRUE(ok.model.has_value()) << ok.error;
+  EXPECT_EQ(text_of(*ok.model), text);
+
+  // The binary rows carry the same checks.
+  const std::string bin = binary_of(sample_model());
+  std::string dup = bin;
+  std::memcpy(dup.data() + dup.size() - 20, dup.data() + dup.size() - 40, 20);
+  const ModelReadResult r = read_binary(dup);
+  EXPECT_FALSE(r.model.has_value());
+  EXPECT_NE(r.error.find("pair row 1: duplicate pair"), std::string::npos)
+      << r.error;
+}
+
+TEST(ModelIo, LoadsFromStreamsThatCannotSeek) {
+  // A pipe cannot report its size: the loaders then reserve nothing up
+  // front and grow as rows arrive. A sized stream gets a table of the
+  // capacity PairStore(pairs) would have.
+  trace::GeneratorConfig cfg;
+  cfg.seed = 21;
+  cfg.num_users = 90;
+  cfg.num_days = 3;
+  cfg.layout.num_buildings = 1;
+  cfg.layout.aps_per_building = 4;
+  const trace::GeneratedTrace g = trace::generate_campus_trace(cfg);
+  std::vector<ApId> aps;
+  wlan::RadioModel radio;
+  for (const trace::SessionRecord& s : g.workload.sessions()) {
+    aps.push_back(wlan::strongest_ap(g.network, radio, s.building, s.pos));
+  }
+  const SocialIndexModel trained =
+      SocialIndexModel::train(g.workload.with_assignments(aps), {});
+  const std::string text = text_of(trained);
+  const std::string bin = binary_of(trained);
+  const std::size_t pairs = trained.pair_stats().size();
+  ASSERT_GT(pairs, 100u);
+
+  PipeBuf text_pipe(text);
+  std::istream text_is(&text_pipe);
+  const ModelReadResult a = read_model(text_is);
+  ASSERT_TRUE(a.model.has_value()) << a.error;
+  EXPECT_EQ(text_of(*a.model), text);
+
+  PipeBuf bin_pipe(bin);
+  std::istream bin_is(&bin_pipe);
+  const ModelReadResult b = read_model_binary(bin_is);
+  ASSERT_TRUE(b.model.has_value()) << b.error;
+  EXPECT_EQ(binary_of(*b.model), bin);
+
+  PipeBuf cut_pipe(bin.substr(0, bin.size() - 7));
+  std::istream cut_is(&cut_pipe);
+  EXPECT_FALSE(read_model_binary(cut_is).model.has_value());
+
+  EXPECT_EQ(read_text(text).model->pair_stats().capacity(),
+            PairStore(pairs).capacity());
+  EXPECT_EQ(read_binary(bin).model->pair_stats().capacity(),
+            PairStore(pairs).capacity());
 }
 
 TEST(ModelIo, FileRoundTrip) {

@@ -208,22 +208,21 @@ TEST(PairStore, NeighborIndexListsSortedPartners) {
   EXPECT_FALSE(store.has_neighbor_index());
   store.build_neighbor_index(5);
   ASSERT_TRUE(store.has_neighbor_index());
+  EXPECT_EQ(store.neighbor_index_users(), 5u);
 
-  const std::span<const UserId> n0 = store.neighbors(0);
-  ASSERT_EQ(n0.size(), 2u);
-  EXPECT_EQ(n0[0], 1u);
-  EXPECT_EQ(n0[1], 3u);
-  EXPECT_TRUE(store.neighbors(4).empty());
-
-  // neighbor_slots parallels neighbors: slot -> the pair's counters.
-  const std::span<const std::uint32_t> s3v = store.neighbor_slots(3);
-  const std::span<const UserId> n3 = store.neighbors(3);
-  ASSERT_EQ(s3v.size(), n3.size());
-  for (std::size_t i = 0; i < n3.size(); ++i) {
-    const Stats* direct = store.find(UserPair(3, n3[i]));
-    ASSERT_NE(direct, nullptr);
-    EXPECT_EQ(&store.stats_at(s3v[i]), direct);
-  }
+  const std::span<const UserId> p0 = store.partners_above(0);
+  ASSERT_EQ(p0.size(), 2u);
+  EXPECT_EQ(p0[0], 1u);
+  EXPECT_EQ(p0[1], 3u);
+  // Only partners above u: (0, 1) is listed under 0, not under 1.
+  EXPECT_TRUE(store.partners_above(1).empty());
+  ASSERT_EQ(store.partners_above(2).size(), 1u);
+  EXPECT_EQ(store.partners_above(2)[0], 3u);
+  EXPECT_TRUE(store.partners_above(3).empty());
+  EXPECT_TRUE(store.partners_above(4).empty());
+  EXPECT_THROW(store.partners_above(5), std::invalid_argument);
+  EXPECT_THROW(store.partners_above(0xffffffffu), std::invalid_argument);
+  EXPECT_THROW(store.build_neighbor_index(3), std::invalid_argument);
 }
 
 TEST(PairStore, NeighborIndexMatchesBruteForceOnRandomTable) {
@@ -236,10 +235,9 @@ TEST(PairStore, NeighborIndexMatchesBruteForceOnRandomTable) {
     std::vector<UserId> expected;
     store.for_each([&](UserPair p, const Stats&) {
       if (p.a == u) expected.push_back(p.b);
-      if (p.b == u) expected.push_back(p.a);
     });
     std::sort(expected.begin(), expected.end());
-    const std::span<const UserId> got = store.neighbors(u);
+    const std::span<const UserId> got = store.partners_above(u);
     ASSERT_EQ(got.size(), expected.size()) << "u=" << u;
     EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin()));
   }
@@ -252,13 +250,99 @@ TEST(PairStore, MutationInvalidatesNeighborIndex) {
   EXPECT_TRUE(store.has_neighbor_index());
   ++store.upsert(UserPair(0, 1)).encounters;  // existing pair: index kept
   EXPECT_TRUE(store.has_neighbor_index());
+  store.reserve(10'000);  // rehash: the index holds no slots, so it stays
+  EXPECT_TRUE(store.has_neighbor_index());
+  ASSERT_EQ(store.partners_above(0).size(), 1u);
   store.upsert(UserPair(0, 2));  // fresh pair: dropped
   EXPECT_FALSE(store.has_neighbor_index());
 
   store.build_neighbor_index(3);
   store.erase(UserPair(0, 2));
   EXPECT_FALSE(store.has_neighbor_index());
-  EXPECT_THROW(store.neighbors(0), std::invalid_argument);
+  EXPECT_EQ(store.neighbor_index_users(), 0u);
+  EXPECT_THROW(store.partners_above(0), std::invalid_argument);
+}
+
+TEST(PairStore, SortedBuilderMatchesAssignInTheSameOrder) {
+  // Ascending entries through the builder give the same slot layout as
+  // assign() in the same order into a table reserved for the same count
+  // (and the same growth when the count is short), plus the index
+  // build_neighbor_index would produce.
+  std::mt19937_64 rng(29);
+  constexpr UserId kUsers = 70;
+  std::vector<PairStore::Entry> entries;
+  {
+    PairStore unordered;
+    for (int i = 0; i < 600; ++i) {
+      Stats& st = unordered.upsert(random_pair(rng, kUsers));
+      ++st.encounters;
+      st.co_comings = static_cast<std::uint32_t>(i);
+    }
+    entries = unordered.sorted_entries();
+  }
+  for (const std::size_t expected : {entries.size(), std::size_t{0}}) {
+    PairStore::SortedBuilder builder(expected, kUsers);
+    for (const PairStore::Entry& e : entries) builder.append(e.pair, e.stats);
+    EXPECT_EQ(builder.size(), entries.size());
+    const PairStore built = std::move(builder).finish();
+
+    PairStore reference(expected);
+    for (const PairStore::Entry& e : entries) reference.assign(e.pair, e.stats);
+    reference.build_neighbor_index(kUsers);
+
+    ASSERT_EQ(built.size(), reference.size());
+    EXPECT_EQ(built.capacity(), reference.capacity());
+    std::vector<std::uint64_t> built_slots, reference_slots;
+    for (const auto& [pair, stats] : built) {
+      built_slots.push_back(PairStore::pack(pair));
+    }
+    for (const auto& [pair, stats] : reference) {
+      reference_slots.push_back(PairStore::pack(pair));
+    }
+    EXPECT_EQ(built_slots, reference_slots);
+    for (const PairStore::Entry& e : entries) {
+      const Stats* st = built.find(e.pair);
+      ASSERT_NE(st, nullptr);
+      EXPECT_EQ(st->co_comings, e.stats.co_comings);
+    }
+    ASSERT_TRUE(built.has_neighbor_index());
+    EXPECT_EQ(built.neighbor_index_users(), std::size_t{kUsers});
+    for (UserId u = 0; u < kUsers; ++u) {
+      const std::span<const UserId> x = built.partners_above(u);
+      const std::span<const UserId> y = reference.partners_above(u);
+      EXPECT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end()));
+    }
+  }
+}
+
+TEST(PairStore, SortedBuilderRefusesBadInput) {
+  PairStore::SortedBuilder builder(4, 10);
+  builder.append(UserPair(1, 5), {});
+  EXPECT_THROW(builder.append(UserPair(1, 5), {}), std::invalid_argument);
+  EXPECT_THROW(builder.append(UserPair(0, 9), {}), std::invalid_argument);
+  EXPECT_THROW(builder.append(UserPair(1, 4), {}), std::invalid_argument);
+  EXPECT_THROW(builder.append(UserPair(2, 10), {}), std::invalid_argument);
+  EXPECT_THROW(builder.append(UserPair(3, 3), {}), std::invalid_argument);
+  builder.append(UserPair(1, 6), {});
+  const PairStore store = std::move(builder).finish();
+  EXPECT_EQ(store.size(), 2u);
+  ASSERT_EQ(store.partners_above(1).size(), 2u);
+}
+
+TEST(PairStore, SortedBuilderWithNoEntriesHasAnEmptyIndex) {
+  const PairStore store = PairStore::SortedBuilder(0, 3).finish();
+  EXPECT_TRUE(store.empty());
+  ASSERT_TRUE(store.has_neighbor_index());
+  EXPECT_TRUE(store.partners_above(2).empty());
+}
+
+TEST(PairStore, ReserveRejectsCountsNoTableCanHold) {
+  // Doubling toward 2^64 - 1 used to wrap the capacity to 0 and spin.
+  PairStore store;
+  EXPECT_THROW(store.reserve(~std::size_t{0}), std::invalid_argument);
+  EXPECT_THROW(store.reserve(std::size_t{1} << 62), std::invalid_argument);
+  EXPECT_THROW(PairStore(~std::size_t{0}), std::invalid_argument);
+  EXPECT_EQ(store.capacity(), 0u);
 }
 
 TEST(PairStore, ReservePreventsRehash) {
