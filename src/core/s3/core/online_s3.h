@@ -5,16 +5,16 @@
 // social relationships formed *after* training (a new semester's
 // classes) start influencing placement within days.
 //
-// The typing stage (k-means + Table-I matrix) stays fixed — re-running
-// clustering online is cheap but would make θ non-monotonic under the
-// reader's feet; the pair-history term P(L|E) is where freshness pays.
+// The learner is social::LiveSocialModel over the single-owner
+// PairStore, fed by a social::PresenceTable — the same model the serve
+// plane runs over its concurrent store.
 #pragma once
 
-#include <optional>
-#include <unordered_map>
-#include <vector>
+#include <memory>
 
 #include "s3/core/s3_selector.h"
+#include "s3/social/live_social_model.h"
+#include "s3/social/presence_table.h"
 
 namespace s3::core {
 
@@ -26,106 +26,13 @@ struct OnlineS3Config {
   util::SimTime min_encounter_overlap = util::SimTime::from_minutes(10);
 };
 
-/// Wraps a trained SocialIndexModel with live-updated pair statistics.
-/// θ(u,v) = P_live(L|E) + α·T(type_u, type_v), where P_live merges the
-/// trained counts with everything observed since.
-class OnlineSocialModel : public social::ThetaProvider {
- public:
-  /// `base` must outlive this object; its pair stats seed the live
-  /// counters lazily (copy-on-first-touch).
-  OnlineSocialModel(const social::SocialIndexModel* base,
-                    OnlineS3Config config);
-
-  double theta(UserId u, UserId v) const override;
-
-  /// Batched kernel: one flat pass over the base model's row, then the
-  /// live deltas patched on top. Bit-identical to the scalar path.
-  void theta_row(UserId u, std::span<const UserId> vs,
-                 std::span<double> out) const override;
-
-  std::size_t num_users() const override { return base_->num_users(); }
-
-  /// Advances whenever an event mutates the live statistics or the
-  /// presence state behind them. Single-owner provider: reads never
-  /// race mutations, so the stamp is exact, not momentary.
-  std::uint64_t read_epoch() const noexcept override { return epoch_; }
-
-  /// Structured change feed per the ThetaDelta contract (graph.h): one
-  /// record per live pair-counter bump, carrying θ after the bump.
-  /// Bounded — consumers that fall behind the log's retention get an
-  /// incomplete poll and must reseed.
-  bool emits_theta_deltas() const noexcept override { return true; }
-  social::ThetaDeltaPoll poll_theta_deltas(
-      std::uint64_t cursor,
-      std::vector<social::ThetaDelta>& out) const override;
-
-  /// Feed an association: the station joined `ap` at `when`.
-  void on_associate(std::size_t session_index, UserId user, ApId ap,
-                    util::SimTime when);
-
-  /// Feed a disassociation; detects encounters (overlap with co-present
-  /// stations) and co-leavings (departures within the window).
-  void on_disconnect(std::size_t session_index, UserId user, ApId ap,
-                     util::SimTime when);
-
-  /// Pairs whose statistics changed since training.
-  std::size_t updated_pairs() const noexcept { return live_.size(); }
-
-  /// Canonical-order fold of the live pair counters, presence maps, and
-  /// recent-departure ring — the state a replicated controller must
-  /// carry across failover bit-for-bit. Insertion-order independent
-  /// (entries are sorted before hashing).
-  std::uint64_t state_digest() const;
-
-  /// Checkpoint: a frozen SocialIndexModel combining the base model's
-  /// typing/matrix with the live pair statistics (trained counts merged
-  /// with everything observed since). Persist it with
-  /// social::write_model_file and reload on the next controller start.
-  social::SocialIndexModel checkpoint() const;
-
- private:
-  struct Presence {
-    std::size_t session_index;
-    UserId user;
-    util::SimTime since;
-  };
-  struct Departure {
-    UserId user;
-    util::SimTime since;  ///< association start (for the overlap check)
-    util::SimTime when;
-  };
-
-  social::PairStore::Stats& live_stats(UserId u, UserId v);
-  /// Bumps one live pair counter through `fn` and records the
-  /// resulting θ in the change feed.
-  template <typename Fn>
-  void bump_pair(UserId u, UserId v, Fn&& fn) {
-    fn(live_stats(u, v));
-    push_delta(u, v);
-  }
-  void push_delta(UserId u, UserId v);
-
-  const social::SocialIndexModel* base_;
-  OnlineS3Config config_;
-  /// Live pair counters, same flat layout as the trained store so the
-  /// hot θ patch loop probes contiguous memory.
-  social::PairStore live_;
-  /// Stations currently associated, per AP.
-  std::unordered_map<ApId, std::vector<Presence>> present_;
-  /// Recent departures per AP (pruned past the co-leave window).
-  std::unordered_map<ApId, std::vector<Departure>> recent_departures_;
-  std::uint64_t epoch_ = 0;  ///< see read_epoch()
-  /// Bounded ThetaDelta log; feed_base_ is the cursor of feed_[0]
-  /// (records before it were truncated away).
-  std::vector<social::ThetaDelta> feed_;
-  std::uint64_t feed_base_ = 0;
-};
-
 /// S3 with continuous learning: identical placement machinery, but the
 /// social index it consults is updated by every event the replay engine
 /// delivers.
 class OnlineS3Selector final : public sim::ApSelector {
  public:
+  /// `net` and `base` must outlive the selector; `base`'s pair stats
+  /// seed the live counters lazily (copy-on-first-touch).
   OnlineS3Selector(const wlan::Network* net,
                    const social::SocialIndexModel* base,
                    OnlineS3Config config = {});
@@ -133,21 +40,32 @@ class OnlineS3Selector final : public sim::ApSelector {
   std::string_view name() const override { return "S3-online"; }
 
   ApId select_one(const sim::Arrival& arrival,
-                  const sim::ApLoadTracker& loads) override;
+                  const sim::ApLoadTracker& loads) override {
+    return inner_.select_one(arrival, loads);
+  }
 
   /// Forwards to the inner S3 machinery, fault directives included (the
   /// online wrapper degrades exactly like frozen S3: model outage ->
   /// embedded LLF).
   sim::BatchResult place_batch(const sim::BatchRequest& request,
-                               const sim::ApLoadTracker& loads) override;
+                               const sim::ApLoadTracker& loads) override {
+    return inner_.place_batch(request, loads);
+  }
 
-  void on_associate(const sim::Arrival& arrival, ApId ap) override;
-  void on_disconnect(std::size_t session_index, UserId user, ApId ap,
-                     util::SimTime when) override;
+  void on_associate(const sim::Arrival& arrival, ApId ap) override {
+    presence_.arrive(ap, arrival.session_index, arrival.user,
+                     arrival.connect);
+  }
+  /// Counts the encounters and co-leavings the departure implies.
+  void on_disconnect(std::size_t session_index, UserId /*user*/, ApId ap,
+                     util::SimTime when) override {
+    model_.learn(presence_.depart(ap, session_index, when));
+  }
 
   bool uses_social_model() const override { return true; }
 
-  /// Live social counters plus the inner S3 machinery's digest.
+  /// Live social counters, presence state and the inner S3 machinery's
+  /// digest.
   std::uint64_t state_digest() const override;
 
   /// Deep copy for replication checkpoints: the live social model is
@@ -158,17 +76,21 @@ class OnlineS3Selector final : public sim::ApSelector {
     return std::unique_ptr<sim::ApSelector>(new OnlineS3Selector(*this));
   }
 
-  const OnlineSocialModel& model() const noexcept { return online_; }
+  const social::LiveSocialModel<social::PairStore>& model() const noexcept {
+    return model_;
+  }
 
  private:
-  /// Copy used by clone(): `inner_` must point at the copy's own live
+  /// Copy used by clone(): `inner_` must consult the copy's own live
   /// model, never the source's.
   OnlineS3Selector(const OnlineS3Selector& other)
-      : online_(other.online_),
-        inner_(std::make_unique<S3Selector>(*other.inner_, &online_)) {}
+      : model_(other.model_),
+        presence_(other.presence_),
+        inner_(other.inner_, &model_) {}
 
-  OnlineSocialModel online_;
-  std::unique_ptr<S3Selector> inner_;
+  social::LiveSocialModel<social::PairStore> model_;
+  social::PresenceTable presence_;
+  S3Selector inner_;
 };
 
 }  // namespace s3::core

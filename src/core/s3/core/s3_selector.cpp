@@ -265,19 +265,6 @@ S3Selector::S3Selector(const wlan::Network* net,
   S3_REQUIRE(config_.beam_width >= 1, "S3Selector: beam_width must be >= 1");
 }
 
-S3Selector::S3Selector(const S3Selector& other)
-    : net_(other.net_),
-      model_(other.model_),
-      config_(other.config_),
-      llf_(other.llf_),
-      stats_(other.stats_),
-      controls_(other.controls_),
-      last_full_fidelity_(other.last_full_fidelity_),
-      warned_inexact_(other.warned_inexact_) {
-  // maintainer_ stays null: it is a cache over the θ provider, rebuilt
-  // lazily — copying it would pin the copy to the source's feed cursor.
-}
-
 std::uint64_t S3Selector::state_digest() const {
   std::uint64_t h = 0x53335f646967ULL;  // "S3_dig"
   const auto mix = [&h](std::uint64_t v) {
@@ -295,7 +282,6 @@ std::uint64_t S3Selector::state_digest() const {
   mix(stats_.empty_candidate_fallbacks);
   mix(stats_.degraded_batches);
   mix(stats_.inexact_covers);
-  mix(stats_.incremental_graph_batches);
   mix(last_full_fidelity_ ? 1 : 0);
   return h;
 }
@@ -391,41 +377,20 @@ sim::BatchResult S3Selector::place_batch(const sim::BatchRequest& request,
   std::vector<ApId> result(batch.size(), kInvalidAp);
 
   // ---- Social graph over the batch (vertices = batch indices) -------
-  // Incremental path: the maintainer mirrors the provider's strict
-  // θ > threshold edge set (synced through the ThetaDelta feed), so
-  // batch edges are found by sparse neighbor probes instead of
-  // O(batch²) θ evaluations. Both paths apply the same edge rule to
-  // the same θ values, so the graph — and every placement derived
-  // from it — is bit-identical. Single-arrival batches have no pairs
-  // and skip straight past (and never pay the maintainer's seeding).
+  // One theta_row per vertex against the suffix of the batch: θ is
+  // symmetric, so the upper triangle covers every pair.
   social::WeightedGraph graph(batch.size());
-  if (config_.incremental_cliques && batch.size() >= 2) {
-    ++stats_.incremental_graph_batches;
-    if (maintainer_ == nullptr) {
-      social::CliqueMaintainerConfig mc;
-      mc.theta_threshold = config_.theta_threshold;
-      mc.clique = config_.clique;
-      maintainer_ = std::make_unique<social::CliqueMaintainer>(0, mc);
-    }
-    maintainer_->sync(*model_);
-    std::vector<UserId> users(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) users[i] = batch[i].user;
-    graph = maintainer_->induced_batch_graph(users);
-  } else {
-    // One theta_row per vertex against the suffix of the batch: θ is
-    // symmetric, so the upper triangle covers every pair.
-    std::vector<UserId> users(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) users[i] = batch[i].user;
-    std::vector<double> row(batch.size(), 0.0);
-    for (std::size_t i = 0; i + 1 < batch.size(); ++i) {
-      const std::span<const UserId> vs =
-          std::span<const UserId>(users).subspan(i + 1);
-      const std::span<double> out = std::span<double>(row).first(vs.size());
-      model_->theta_row(users[i], vs, out);
-      for (std::size_t j = 0; j < vs.size(); ++j) {
-        if (out[j] > config_.theta_threshold) {
-          graph.add_edge(i, i + 1 + j, out[j]);
-        }
+  std::vector<UserId> users(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) users[i] = batch[i].user;
+  std::vector<double> row(batch.size(), 0.0);
+  for (std::size_t i = 0; i + 1 < batch.size(); ++i) {
+    const std::span<const UserId> vs =
+        std::span<const UserId>(users).subspan(i + 1);
+    const std::span<double> out = std::span<double>(row).first(vs.size());
+    model_->theta_row(users[i], vs, out);
+    for (std::size_t j = 0; j < vs.size(); ++j) {
+      if (out[j] > config_.theta_threshold) {
+        graph.add_edge(i, i + 1 + j, out[j]);
       }
     }
   }

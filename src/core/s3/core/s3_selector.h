@@ -24,7 +24,6 @@
 #include "s3/core/baselines.h"
 #include "s3/sim/selector.h"
 #include "s3/social/clique.h"
-#include "s3/social/clique_maintainer.h"
 #include "s3/social/social_index.h"
 #include "s3/wlan/network.h"
 
@@ -55,14 +54,6 @@ struct S3Config {
   /// counts. S3's own demand estimates w(u) enter through the
   /// bandwidth constraint and the balance-index tie-break instead.
   LoadMetric llf_metric = LoadMetric::kStations;
-  /// Build batch graphs from a social::CliqueMaintainer kept in sync
-  /// through the provider's ThetaDelta feed, instead of O(batch²)
-  /// theta_row probes per batch. Placements are bit-identical either
-  /// way (the maintainer mirrors θ exactly, under the same strict
-  /// edge rule); this only changes how edges are *found*. Off by
-  /// default: replay workloads with mostly-immutable models pay the
-  /// one-time seeding without reaping churn savings.
-  bool incremental_cliques = false;
 };
 
 /// Running counters a deployment would export (and tests assert on):
@@ -87,9 +78,6 @@ struct S3Stats {
   std::size_t degraded_batches = 0;
   /// Batches whose clique cover hit the node budget (non-exact result).
   std::size_t inexact_covers = 0;
-  /// Batches whose social graph came from the incremental maintainer
-  /// (config.incremental_cliques) instead of per-batch θ probes.
-  std::size_t incremental_graph_batches = 0;
 };
 
 class S3Selector final : public sim::ApSelector {
@@ -97,14 +85,9 @@ class S3Selector final : public sim::ApSelector {
   /// `net` and `model` must outlive the selector. The network is used
   /// to evaluate the balance index over whole controller domains when
   /// tie-breaking clique distributions. `model` is any ThetaProvider —
-  /// a frozen trained SocialIndexModel or a live OnlineSocialModel.
+  /// a frozen trained SocialIndexModel or a live LiveSocialModel.
   S3Selector(const wlan::Network* net, const social::ThetaProvider* model,
              S3Config config = {});
-
-  /// Copy: everything that affects placements is duplicated; the
-  /// maintainer (a pure cache over the θ provider) is dropped and
-  /// re-seeded lazily on the copy's first incremental batch.
-  S3Selector(const S3Selector& other);
 
   /// Copy with the θ provider rebound: identical internal state (stats,
   /// fidelity flags, scratch), but future θ queries go to `model`. The
@@ -176,11 +159,6 @@ class S3Selector final : public sim::ApSelector {
   sim::FaultControls controls_{};
   bool last_full_fidelity_ = true;
   bool warned_inexact_ = false;  ///< budget-exhaustion logged once
-  /// Incremental θ-graph mirror (config_.incremental_cliques); seeded
-  /// lazily on the first multi-arrival batch, synced per batch through
-  /// the provider's ThetaDelta feed. Never affects placements — only
-  /// how batch-graph edges are found.
-  std::unique_ptr<social::CliqueMaintainer> maintainer_;
   // theta_row scratch, reused across social_cost calls.
   std::vector<UserId> row_users_;
   std::vector<double> row_theta_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "s3/fault/fault_injector.h"
+
 namespace s3::fault {
 
 util::SimTime RecoveryPolicy::backoff(std::uint32_t attempt) const noexcept {
@@ -47,6 +49,25 @@ void DegradationTracker::on_batch_end(bool full_fidelity) {
     state_ = HealthState::kHealthy;
     ++stats_.to_healthy;
     clean_run_ = 0;
+  }
+}
+
+sim::FaultControls begin_batch(const FaultInjector* injector,
+                               util::SimTime now, bool uses_social_model,
+                               DegradationTracker& degradation) {
+  sim::FaultControls faults;
+  if (injector == nullptr) return faults;
+  faults.model_available = injector->model_available(now);
+  faults.clique_node_budget = injector->clique_budget(now);
+  faults.force_fallback = degradation.on_batch_start(
+      !faults.model_available && uses_social_model);
+  return faults;
+}
+
+void end_batch(const FaultInjector* injector, const sim::FaultControls& faults,
+               bool full_fidelity, DegradationTracker& degradation) {
+  if (injector != nullptr && !faults.force_fallback) {
+    degradation.on_batch_end(full_fidelity);
   }
 }
 

@@ -14,9 +14,12 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "s3/sim/selector.h"
 #include "s3/util/sim_time.h"
 
 namespace s3::fault {
+
+class FaultInjector;
 
 enum class HealthState : std::uint8_t { kHealthy, kDegraded, kRecovering };
 
@@ -76,5 +79,21 @@ class DegradationTracker {
   std::size_t clean_run_ = 0;
   DegradationStats stats_;
 };
+
+/// The fault directives of one batch dispatched at `now`, shared by
+/// replay (ControllerEngine::flush) and serve (ServePipeline::place):
+/// the model's availability, the clique-budget clamp, and whether
+/// `degradation` sends the batch to the fallback policy. A model outage
+/// stresses only a policy that uses the social model. Without an
+/// injector the batch runs at full fidelity and `degradation` is left
+/// alone.
+sim::FaultControls begin_batch(const FaultInjector* injector,
+                               util::SimTime now, bool uses_social_model,
+                               DegradationTracker& degradation);
+
+/// Reports a dispatched batch's fidelity to `degradation`. Batches the
+/// fallback served, and runs without an injector, are not observed.
+void end_batch(const FaultInjector* injector, const sim::FaultControls& faults,
+               bool full_fidelity, DegradationTracker& degradation);
 
 }  // namespace s3::fault

@@ -334,7 +334,6 @@ void ControllerEngine::flush() {
   if (batch_.empty()) return;
   const util::SimTime now = batch_deadline_;
 
-  sim::FaultControls faults;
   if (injector_ != nullptr) {
     // Drop candidates that are inside an outage window right now; a
     // request whose whole candidate set is down waits in the retry
@@ -355,15 +354,11 @@ void ControllerEngine::flush() {
       batch_deadline_ = kNever;
       return;
     }
-
-    const bool model_out = !injector_->model_available(now);
-    faults.model_available = !model_out;
-    faults.clique_node_budget = injector_->clique_budget(now);
-    faults.force_fallback =
-        degradation_.on_batch_start(model_out && policy_->uses_social_model());
   }
 
-  place_batch(batch_, now, faults);
+  place_batch(batch_, now,
+              fault::begin_batch(injector_, now, policy_->uses_social_model(),
+                                 degradation_));
   batch_.clear();
   batch_deadline_ = kNever;
 }
@@ -385,9 +380,7 @@ std::vector<ApId> ControllerEngine::place_batch(
   std::vector<ApId>& chosen = dispatched.placements;
   S3_ASSERT(chosen.size() == arrivals.size(),
             "replay: policy returned wrong batch arity");
-  if (injector_ != nullptr && !faults.force_fallback) {
-    degradation_.on_batch_end(dispatched.full_fidelity);
-  }
+  fault::end_batch(injector_, faults, dispatched.full_fidelity, degradation_);
   const auto sessions = workload_->sessions();
   for (std::size_t i = 0; i < chosen.size(); ++i) {
     const sim::Arrival& a = arrivals[i];

@@ -53,14 +53,11 @@ ServePipeline::ServePipeline(const wlan::Network* net,
     slot.store(kInvalidAp, std::memory_order_relaxed);
   }
   domains_.reserve(net_->num_controllers());
-  presence_.reserve(net_->num_controllers());
   for (ControllerId c = 0; c < net_->num_controllers(); ++c) {
-    auto d = std::make_unique<Domain>();
+    auto d = std::make_unique<Domain>(config_);
     d->selector = factory->create(c);
     d->tracker = std::make_unique<sim::ApLoadTracker>(*net_);
     domains_.push_back(std::move(d));
-    presence_.push_back(std::make_unique<PresenceTable>(
-        config_.co_leave_window, config_.min_encounter_overlap));
   }
 }
 
@@ -115,21 +112,15 @@ PlaceResult ServePipeline::place(const PlaceRequest& req) {
     }
     sim::BatchRequest request;
     request.arrivals = {&arrival, 1};
-    if (config_.injector != nullptr) {
-      const bool model_out = !config_.injector->model_available(req.when);
-      request.faults.model_available = !model_out;
-      request.faults.clique_node_budget =
-          config_.injector->clique_budget(req.when);
-      request.faults.force_fallback = d.degradation.on_batch_start(
-          model_out && d.selector->uses_social_model());
-    }
+    request.faults =
+        fault::begin_batch(config_.injector, req.when,
+                           d.selector->uses_social_model(), d.degradation);
     sim::BatchResult dispatched =
         d.selector->place_batch(request, *d.tracker);
     S3_ASSERT(dispatched.placements.size() == 1,
               "serve: policy returned wrong batch arity");
-    if (config_.injector != nullptr && !request.faults.force_fallback) {
-      d.degradation.on_batch_end(dispatched.full_fidelity);
-    }
+    fault::end_batch(config_.injector, request.faults,
+                     dispatched.full_fidelity, d.degradation);
     const ApId ap = dispatched.placements[0];
     S3_ASSERT(std::find(arrival.candidates.begin(), arrival.candidates.end(),
                         ap) != arrival.candidates.end(),
@@ -149,8 +140,10 @@ PlaceResult ServePipeline::place(const PlaceRequest& req) {
   // Presence must be visible before the session id is committed: a
   // depart() can only race us after the commit, and it expects the
   // presence entry to exist.
-  presence_[domain_id]->arrive(result.ap, arrival.session_index, req.user,
-                               req.when);
+  {
+    util::MutexLock hold(d.presence_mu);
+    d.presence.arrive(result.ap, arrival.session_index, req.user, req.when);
+  }
   LiveSession session;
   session.session_index = arrival.session_index;
   session.user = req.user;
@@ -195,17 +188,14 @@ bool ServePipeline::depart(std::uint64_t id, util::SimTime when) {
     d.selector->on_disconnect(s->session_index, s->user, s->ap, when);
   }
 
-  // Mirrors core::OnlineSocialModel::on_disconnect: the presence table
-  // reports who was met, and the detected events go to the shared
-  // store here, outside both the domain and the presence lock.
-  const PresenceTable::DepartureEvents events =
-      presence_[s->domain]->depart(s->ap, s->session_index, when);
-  for (const UserId peer : events.encountered) {
-    shared_.record_encounter(events.user, peer);
+  // The presence table reports who was met; the shared model learns
+  // the events outside both the domain and the presence lock.
+  social::DepartureEvents events;
+  {
+    util::MutexLock hold(d.presence_mu);
+    events = d.presence.depart(s->ap, s->session_index, when);
   }
-  for (const UserId peer : events.co_left) {
-    shared_.record_co_leave(events.user, peer);
-  }
+  shared_.learn(events);
 
   if (s->user < user_ap_.size()) {
     user_ap_[s->user].store(kInvalidAp, std::memory_order_relaxed);

@@ -8,10 +8,11 @@
 // load tracker, and a degradation state machine, guarded by one
 // per-domain mutex — so placements in different domains run fully in
 // parallel, and every domain's θ lookups go through one shared
-// SharedSocialModel whose reads are lock-free. The presence state for
-// online encounter/co-leave detection lives in a per-domain
-// PresenceTable behind its own lock, so event detection never extends
-// the placement lock's critical section.
+// social::LiveSocialModel over a ConcurrentPairStore, whose reads are
+// lock-free. The presence state for online encounter/co-leave
+// detection lives in a per-domain social::PresenceTable behind its own
+// lock, so event detection never extends the placement lock's critical
+// section.
 //
 // Threading contract: place() and depart() are safe from any number of
 // threads. Callers bring their own concurrency (the stdin driver is
@@ -20,11 +21,11 @@
 // store serializes only per hash bucket.
 //
 // The fault machinery is reused unchanged from replay: an optional
-// FaultInjector prunes dead APs from candidate sets, declares model
-// outages that drive each domain's HEALTHY → DEGRADED → RECOVERING
-// DegradationTracker, and squeezes the clique budget — exactly the
-// directives ControllerEngine::flush applies, minus the trace-driven
-// retry queue (a live caller re-asks when it wants to retry).
+// FaultInjector prunes dead APs from candidate sets, and
+// fault::begin_batch derives the batch directives (model outage,
+// clique budget, degradation fallback) exactly as ControllerEngine::flush
+// does, minus the trace-driven retry queue (a live caller re-asks when
+// it wants to retry).
 #pragma once
 
 #include <atomic>
@@ -37,10 +38,10 @@
 #include "s3/fault/degradation.h"
 #include "s3/fault/fault_injector.h"
 #include "s3/fault/health_board.h"
-#include "s3/serve/presence_table.h"
 #include "s3/serve/session_registry.h"
-#include "s3/serve/shared_social_model.h"
 #include "s3/social/clique_maintainer.h"
+#include "s3/social/live_social_model.h"
+#include "s3/social/presence_table.h"
 #include "s3/sim/load_state.h"
 #include "s3/sim/selector.h"
 #include "s3/util/thread_annotations.h"
@@ -144,7 +145,10 @@ class ServePipeline {
   /// for ids that are not active.
   bool depart(std::uint64_t id, util::SimTime when);
 
-  const SharedSocialModel& model() const noexcept { return shared_; }
+  const social::LiveSocialModel<social::ConcurrentPairStore>& model()
+      const noexcept {
+    return shared_;
+  }
   const wlan::Network& network() const noexcept { return *net_; }
   std::size_t num_domains() const noexcept { return domains_.size(); }
 
@@ -165,21 +169,25 @@ class ServePipeline {
 
  private:
   struct Domain {
+    explicit Domain(const ServeConfig& config)
+        : presence(config.co_leave_window, config.min_encounter_overlap) {}
     util::Mutex mu;
     std::unique_ptr<sim::ApSelector> selector S3_GUARDED_BY(mu);
     std::unique_ptr<sim::ApLoadTracker> tracker S3_GUARDED_BY(mu);
     fault::DegradationTracker degradation S3_GUARDED_BY(mu);
+    /// Online event detection, behind its own lock so it never extends
+    /// the placement lock's critical section (an AP belongs to exactly
+    /// one domain, so presence never crosses tables).
+    util::Mutex presence_mu;
+    social::PresenceTable presence S3_GUARDED_BY(presence_mu);
   };
 
   const wlan::Network* net_;
   ServeConfig config_;
-  SharedSocialModel shared_;
+  social::LiveSocialModel<social::ConcurrentPairStore> shared_;
   std::vector<std::unique_ptr<Domain>> domains_;
   /// id -> live session, sharded (see SessionRegistry's protocol).
   SessionRegistry registry_;
-  /// Per-domain online event-detection state (an AP belongs to exactly
-  /// one domain, so presence never crosses tables).
-  std::vector<std::unique_ptr<PresenceTable>> presence_;
   /// Monitoring-facing health snapshots, published after every
   /// degradation step so domain_health() skips the domain lock.
   std::unique_ptr<fault::HealthBoard> health_;

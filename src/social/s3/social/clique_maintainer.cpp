@@ -11,18 +11,6 @@ namespace {
 
 constexpr std::uint32_t kNoClique = std::numeric_limits<std::uint32_t>::max();
 
-/// equal_range comparator over (user, position) pairs keyed by user.
-struct FirstLess {
-  bool operator()(const std::pair<UserId, std::uint32_t>& p,
-                  UserId v) const noexcept {
-    return p.first < v;
-  }
-  bool operator()(UserId v,
-                  const std::pair<UserId, std::uint32_t>& p) const noexcept {
-    return v < p.first;
-  }
-};
-
 }  // namespace
 
 CliqueMaintainer::CliqueMaintainer(std::size_t num_users,
@@ -299,32 +287,6 @@ std::span<const CliqueMaintainer::Neighbor> CliqueMaintainer::neighbors(
     UserId u) const {
   S3_REQUIRE(u < adj_.size(), "CliqueMaintainer::neighbors: out of range");
   return adj_[u];
-}
-
-WeightedGraph CliqueMaintainer::induced_batch_graph(
-    std::span<const UserId> users) const {
-  WeightedGraph g(users.size());
-  if (users.size() < 2) return g;
-  std::vector<std::pair<UserId, std::uint32_t>> pos;
-  pos.reserve(users.size());
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    S3_REQUIRE(users[i] < adj_.size(),
-               "CliqueMaintainer::induced_batch_graph: user out of range");
-    pos.emplace_back(users[i], static_cast<std::uint32_t>(i));
-  }
-  std::sort(pos.begin(), pos.end());
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    for (const Neighbor& nb : adj_[users[i]]) {
-      const auto [lo, hi] =
-          std::equal_range(pos.begin(), pos.end(), nb.id, FirstLess{});
-      for (auto it = lo; it != hi; ++it) {
-        // Each undirected pair is visited from both endpoints; add it
-        // from the smaller batch index only.
-        if (it->second > i) g.add_edge(i, it->second, nb.weight);
-      }
-    }
-  }
-  return g;
 }
 
 CliqueCoverResult CliqueMaintainer::solve_component(

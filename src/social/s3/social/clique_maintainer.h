@@ -106,13 +106,6 @@ class CliqueMaintainer {
   /// Neighbors of `u` in ascending id order.
   std::span<const Neighbor> neighbors(UserId u) const;
 
-  /// Induced subgraph over `users` (vertices = indices into `users`),
-  /// built from the maintained edge set — the batch graph S3Selector
-  /// needs, in O(Σ deg · log B) neighbor probes instead of O(B²) θ
-  /// evaluations. Duplicate users get no self-edges, matching
-  /// θ(u,u) = 0 on the probe path.
-  WeightedGraph induced_batch_graph(std::span<const UserId> users) const;
-
   /// The maintained cover: re-solves dirty components, serves the rest
   /// from cache, and assembles components in ascending-minimum-vertex
   /// order. The reference stays valid until the next mutating call.

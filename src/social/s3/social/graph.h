@@ -40,9 +40,12 @@ class ThetaProvider;
 ///     coarse invalidate-everything signal the feed refines. Immutable
 ///     providers (a trained SocialIndexModel) have an exact, forever
 ///     empty feed.
-///   * `epoch` stamps the provider's read_epoch() at the mutation, so a
-///     consumer can bracket a drained suffix against snapshot reads
-///     (social_index.h's read-snapshot contract).
+///   * `epoch` stamps the provider's read_epoch() just after the
+///     mutation, so a consumer can bracket a drained suffix against
+///     snapshot reads (social_index.h's read-snapshot contract).
+///     LiveSocialModel (live_social_model.h), the one mutating
+///     provider, counts its counter writes: record i of its feed
+///     carries epoch i + 1.
 struct ThetaDelta {
   UserPair pair{0, 1};
   double theta = 0.0;    ///< θ(pair) after the mutation

@@ -67,6 +67,22 @@ class PairStore {
   /// Counters for `p`, default-constructed on first touch.
   Stats& upsert(UserPair p);
 
+  /// Applies fn(Stats&) to the pair's counters, creating them first if
+  /// absent: zero-initialized, or copied from `init_if_new` when given.
+  /// Returns true when the pair was new. The same entry point as
+  /// ConcurrentPairStore::update, so code can be generic over both.
+  template <typename Fn>
+  bool update(UserPair p, Fn&& fn, const Stats* init_if_new = nullptr) {
+    if (Stats* hit = find(p)) {
+      fn(*hit);
+      return false;
+    }
+    Stats& slot = upsert(p);
+    if (init_if_new != nullptr) slot = *init_if_new;
+    fn(slot);
+    return true;
+  }
+
   /// Inserts or overwrites; returns true when the pair was new.
   bool assign(UserPair p, const Stats& stats);
 

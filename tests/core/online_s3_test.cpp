@@ -11,6 +11,29 @@ namespace {
 
 using s3::testing::mini_network;
 
+/// The S3-online learner as OnlineS3Selector wires it: a presence table
+/// detecting encounters and co-leavings, feeding a live model over the
+/// single-owner pair store. The OnlineSocialModel.* cases drive it
+/// directly, without placements.
+struct OnlineLearner {
+  explicit OnlineLearner(const social::SocialIndexModel* base,
+                         OnlineS3Config config = {})
+      : model(base),
+        presence(config.co_leave_window, config.min_encounter_overlap) {}
+
+  void on_associate(std::size_t session, UserId user, ApId ap,
+                    util::SimTime when) {
+    presence.arrive(ap, session, user, when);
+  }
+  void on_disconnect(std::size_t session, UserId /*user*/, ApId ap,
+                     util::SimTime when) {
+    model.learn(presence.depart(ap, session, when));
+  }
+
+  social::LiveSocialModel<social::PairStore> model;
+  social::PresenceTable presence;
+};
+
 social::SocialIndexModel empty_model(std::size_t n, double alpha = 0.3) {
   social::SocialModelConfig cfg;
   cfg.alpha = alpha;
@@ -25,7 +48,7 @@ social::SocialIndexModel empty_model(std::size_t n, double alpha = 0.3) {
 
 TEST(OnlineSocialModel, StartsAtBaseTheta) {
   const auto base = empty_model(4);
-  const OnlineSocialModel online(&base, {});
+  const social::LiveSocialModel<social::PairStore> online(&base);
   EXPECT_DOUBLE_EQ(online.theta(0, 1), base.theta(0, 1));
   EXPECT_DOUBLE_EQ(online.theta(2, 2), 0.0);
   EXPECT_EQ(online.updated_pairs(), 0u);
@@ -34,55 +57,55 @@ TEST(OnlineSocialModel, StartsAtBaseTheta) {
 
 TEST(OnlineSocialModel, LearnsCoLeavingPair) {
   const auto base = empty_model(4);
-  OnlineSocialModel online(&base, {});
+  OnlineLearner online(&base);
   // Users 0 and 1 share AP 3 for an hour and leave a minute apart.
   online.on_associate(100, 0, 3, util::SimTime(0));
   online.on_associate(101, 1, 3, util::SimTime(60));
   online.on_disconnect(100, 0, 3, util::SimTime(3600));
   online.on_disconnect(101, 1, 3, util::SimTime(3660));
-  EXPECT_GT(online.updated_pairs(), 0u);
+  EXPECT_GT(online.model.updated_pairs(), 0u);
   // One encounter, one co-leave -> P(L|E) = 1.
-  EXPECT_DOUBLE_EQ(online.theta(0, 1), 1.0);
+  EXPECT_DOUBLE_EQ(online.model.theta(0, 1), 1.0);
   // Untouched pairs still answer through the base.
-  EXPECT_DOUBLE_EQ(online.theta(2, 3), 0.0);
+  EXPECT_DOUBLE_EQ(online.model.theta(2, 3), 0.0);
 }
 
 TEST(OnlineSocialModel, EncounterWithoutCoLeave) {
   const auto base = empty_model(3);
-  OnlineSocialModel online(&base, {});
+  OnlineLearner online(&base);
   online.on_associate(1, 0, 0, util::SimTime(0));
   online.on_associate(2, 1, 0, util::SimTime(0));
   online.on_disconnect(1, 0, 0, util::SimTime(3600));
   // User 1 leaves an hour later: no co-leave.
   online.on_disconnect(2, 1, 0, util::SimTime(7200));
-  EXPECT_DOUBLE_EQ(online.theta(0, 1), 0.0);  // 1 encounter, 0 co-leaves
-  EXPECT_EQ(online.updated_pairs(), 1u);
+  EXPECT_DOUBLE_EQ(online.model.theta(0, 1), 0.0);  // 1 encounter, 0 co-leaves
+  EXPECT_EQ(online.model.updated_pairs(), 1u);
 }
 
 TEST(OnlineSocialModel, ShortOverlapIsNoEncounter) {
   const auto base = empty_model(3);
-  OnlineSocialModel online(&base, {});
+  OnlineLearner online(&base);
   online.on_associate(1, 0, 0, util::SimTime(0));
   online.on_associate(2, 1, 0, util::SimTime(0));
   // Only five minutes together (< 10-minute encounter threshold).
   online.on_disconnect(1, 0, 0, util::SimTime(300));
   online.on_disconnect(2, 1, 0, util::SimTime(320));
-  EXPECT_EQ(online.updated_pairs(), 0u);
+  EXPECT_EQ(online.model.updated_pairs(), 0u);
 }
 
 TEST(OnlineSocialModel, DifferentApsDoNotInteract) {
   const auto base = empty_model(3);
-  OnlineSocialModel online(&base, {});
+  OnlineLearner online(&base);
   online.on_associate(1, 0, 0, util::SimTime(0));
   online.on_associate(2, 1, 1, util::SimTime(0));
   online.on_disconnect(1, 0, 0, util::SimTime(3600));
   online.on_disconnect(2, 1, 1, util::SimTime(3610));
-  EXPECT_EQ(online.updated_pairs(), 0u);
+  EXPECT_EQ(online.model.updated_pairs(), 0u);
 }
 
 TEST(OnlineSocialModel, RepeatedEpisodesConverge) {
   const auto base = empty_model(2);
-  OnlineSocialModel online(&base, {});
+  OnlineLearner online(&base);
   // Three meetings; the pair co-leaves in two of them.
   for (int episode = 0; episode < 3; ++episode) {
     const std::int64_t t0 = episode * 86400;
@@ -92,7 +115,7 @@ TEST(OnlineSocialModel, RepeatedEpisodesConverge) {
     const std::int64_t gap = episode == 2 ? 7200 : 60;
     online.on_disconnect(episode * 2 + 1, 1, 0, util::SimTime(t0 + 3600 + gap));
   }
-  EXPECT_NEAR(online.theta(0, 1), 2.0 / 3.0, 1e-12);
+  EXPECT_NEAR(online.model.theta(0, 1), 2.0 / 3.0, 1e-12);
 }
 
 TEST(OnlineSocialModel, SeedsFromTrainedCounts) {
@@ -108,24 +131,24 @@ TEST(OnlineSocialModel, SeedsFromTrainedCounts) {
   const auto base = social::SocialIndexModel::from_parts(
       cfg, std::move(stats), std::move(typing), social::TypeCoLeaveMatrix(1));
 
-  OnlineSocialModel online(&base, {});
+  OnlineLearner online(&base);
   online.on_associate(1, 0, 0, util::SimTime(0));
   online.on_associate(2, 1, 0, util::SimTime(0));
   online.on_disconnect(1, 0, 0, util::SimTime(3600));
   online.on_disconnect(2, 1, 0, util::SimTime(20000));  // no co-leave
-  EXPECT_NEAR(online.theta(0, 1), 3.0 / 4.0, 1e-12);
+  EXPECT_NEAR(online.model.theta(0, 1), 3.0 / 4.0, 1e-12);
 }
 
 TEST(OnlineSocialModel, CheckpointPersistsLiveLearning) {
   const auto base = empty_model(3, /*alpha=*/0.0);
-  OnlineSocialModel online(&base, {});
+  OnlineLearner online(&base);
   online.on_associate(1, 0, 0, util::SimTime(0));
   online.on_associate(2, 1, 0, util::SimTime(0));
   online.on_disconnect(1, 0, 0, util::SimTime(3600));
   online.on_disconnect(2, 1, 0, util::SimTime(3650));
 
-  const social::SocialIndexModel frozen = online.checkpoint();
-  EXPECT_DOUBLE_EQ(frozen.theta(0, 1), online.theta(0, 1));
+  const social::SocialIndexModel frozen = online.model.checkpoint();
+  EXPECT_DOUBLE_EQ(frozen.theta(0, 1), online.model.theta(0, 1));
   EXPECT_DOUBLE_EQ(frozen.theta(0, 1), 1.0);
   EXPECT_EQ(frozen.pair_stats().size(), 1u);
   // Typing carried over.
@@ -174,7 +197,7 @@ TEST(OnlineSocialModel, AgreesWithOfflineExtractorExactly) {
   OnlineS3Config ocfg;
   ocfg.co_leave_window = windows.co_leave_window;
   ocfg.min_encounter_overlap = windows.min_encounter_overlap;
-  OnlineSocialModel online(&base, ocfg);
+  OnlineLearner online(&base, ocfg);
   struct Ev {
     util::SimTime when;
     bool arrive;
@@ -199,7 +222,7 @@ TEST(OnlineSocialModel, AgreesWithOfflineExtractorExactly) {
 
   // Compare the encounter/co-leave ledgers (co-comings are offline-only
   // bookkeeping the online detector does not need).
-  const social::SocialIndexModel check = online.checkpoint();
+  const social::SocialIndexModel check = online.model.checkpoint();
   std::size_t offline_encounter_pairs = 0;
   for (const auto& [pair, off] : offline) {
     if (off.encounters == 0) continue;

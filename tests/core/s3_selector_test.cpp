@@ -645,7 +645,6 @@ void expect_same_stats(const S3Stats& got, const S3Stats& want) {
   EXPECT_EQ(got.empty_candidate_fallbacks, want.empty_candidate_fallbacks);
   EXPECT_EQ(got.degraded_batches, want.degraded_batches);
   EXPECT_EQ(got.inexact_covers, want.inexact_covers);
-  EXPECT_EQ(got.incremental_graph_batches, want.incremental_graph_batches);
 }
 
 /// One family of random single-clique batches.

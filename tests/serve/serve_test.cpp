@@ -1,9 +1,10 @@
-// s3::serve — live pipeline and shared social model.
+// s3::serve — live pipeline and its live social model.
 //
-// The anchor test proves the concurrency refactor changed nothing
-// semantically: a ServePipeline's live event detection drives a
-// SharedSocialModel to bit-identical θ values with the single-owner
-// core::OnlineSocialModel fed the same association events.
+// The anchor test proves the store changes nothing semantically: a
+// ServePipeline's live event detection drives its
+// LiveSocialModel<ConcurrentPairStore> to bit-identical θ values with
+// the LiveSocialModel<PairStore> that S3-online replay runs, fed the
+// same association events.
 
 #include <atomic>
 #include <map>
@@ -14,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "s3/core/evaluation.h"
-#include "s3/core/online_s3.h"
 #include "s3/fault/fault_injector.h"
 #include "s3/fault/fault_plan.h"
 #include "s3/serve/line_protocol.h"
@@ -107,18 +107,22 @@ TEST(ServePipeline, RejectsUnknownUserUnderSocialPolicy) {
   EXPECT_TRUE(q.place(request(1, unknown, 0, 0)).placed);
 }
 
-// The tentpole equivalence: pipeline-detected encounters/co-leavings
-// must update the shared model to the exact θ the single-owner online
-// model computes from the same events. The pipeline runs the "rssi"
+// The store equivalence: pipeline-detected encounters/co-leavings must
+// update the concurrent-store model to the exact θ the single-owner
+// store computes from the same events. The pipeline runs the "rssi"
 // policy so AP choice is deterministic and model-independent; every
-// committed (session, user, ap, t) event is mirrored into an
-// OnlineSocialModel, then θ is compared bit for bit over all pairs.
-TEST(SharedSocialModel, BitIdenticalWithOnlineModelOnSameEvents) {
+// committed (session, user, ap, t) event is mirrored into a
+// PresenceTable feeding a LiveSocialModel<PairStore>, then θ is
+// compared bit for bit over all pairs, and the two feeds record for
+// record.
+TEST(LiveSocialModel, BitIdenticalAcrossStoresOnSameEvents) {
   const World& w = world();
   ServeConfig cfg;
   cfg.policy = "rssi";
   ServePipeline pipeline(&w.gen.network, &w.model, cfg);
-  core::OnlineSocialModel online(&w.model, {});
+  social::LiveSocialModel<social::PairStore> online(&w.model);
+  social::PresenceTable presence(cfg.co_leave_window,
+                                 cfg.min_encounter_overlap);
 
   struct Live {
     UserId user;
@@ -144,8 +148,7 @@ TEST(SharedSocialModel, BitIdenticalWithOnlineModelOnSameEvents) {
       const auto victim =
           std::next(active.begin(),
                     static_cast<std::ptrdiff_t>(next() % active.size()));
-      online.on_disconnect(victim->first, victim->second.user,
-                           victim->second.ap, t);
+      online.learn(presence.depart(victim->second.ap, victim->first, t));
       ASSERT_TRUE(pipeline.depart(victim->first, t));
       active.erase(victim);
     } else {
@@ -154,7 +157,7 @@ TEST(SharedSocialModel, BitIdenticalWithOnlineModelOnSameEvents) {
       const BuildingId b = static_cast<BuildingId>(next() % 2);
       const PlaceResult r = pipeline.place(request(id, user, b, now));
       ASSERT_TRUE(r.placed);
-      online.on_associate(id, user, r.ap, t);
+      presence.arrive(r.ap, id, user, t);
       active.emplace(id, Live{user, r.ap});
     }
   }
@@ -163,7 +166,8 @@ TEST(SharedSocialModel, BitIdenticalWithOnlineModelOnSameEvents) {
       << "schedule produced no social events — test is vacuous";
   EXPECT_EQ(pipeline.model().updated_pairs(), online.updated_pairs());
 
-  const SharedSocialModel& shared = pipeline.model();
+  const social::LiveSocialModel<social::ConcurrentPairStore>& shared =
+      pipeline.model();
   const std::size_t n = w.model.num_users();
   for (UserId u = 0; u < n; ++u) {
     for (UserId v = static_cast<UserId>(u + 1); v < n; ++v) {
@@ -181,12 +185,9 @@ TEST(SharedSocialModel, BitIdenticalWithOnlineModelOnSameEvents) {
     online.theta_row(u, vs, online_row);
     EXPECT_EQ(shared_row, online_row) << "theta_row mismatch at u=" << u;
   }
-  // Both sides advertise a moving read snapshot — polled through the
-  // base interface (direct SharedSocialModel::read_epoch is
-  // deprecated in favour of the structured delta feed).
-  EXPECT_GT(static_cast<const social::ThetaProvider&>(shared).read_epoch(),
-            0U);
-  EXPECT_GT(online.read_epoch(), 0U);
+  // Both sides count the same counter writes.
+  EXPECT_GT(shared.read_epoch(), 0U);
+  EXPECT_EQ(shared.read_epoch(), online.read_epoch());
 
   // The structured feed replays the same history: draining it from
   // cursor 0 and keeping each pair's last record reproduces the
@@ -203,6 +204,15 @@ TEST(SharedSocialModel, BitIdenticalWithOnlineModelOnSameEvents) {
   for (const auto& [pair, theta] : last) {
     EXPECT_EQ(theta, shared.theta(pair.a, pair.b))
         << "stale feed tail for (" << pair.a << ", " << pair.b << ")";
+  }
+  // The single-owner store's feed carries the same records.
+  std::vector<social::ThetaDelta> online_deltas;
+  ASSERT_TRUE(online.poll_theta_deltas(0, online_deltas).complete);
+  ASSERT_EQ(online_deltas.size(), deltas.size());
+  for (std::size_t i = 0; i < deltas.size(); ++i) {
+    EXPECT_EQ(online_deltas[i].pair, deltas[i].pair) << "record " << i;
+    EXPECT_EQ(online_deltas[i].theta, deltas[i].theta) << "record " << i;
+    EXPECT_EQ(online_deltas[i].epoch, deltas[i].epoch) << "record " << i;
   }
   // A second poll from the returned cursor is an exact empty suffix.
   deltas.clear();

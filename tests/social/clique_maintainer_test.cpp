@@ -9,9 +9,8 @@
 
 #include "s3/check/validators.h"
 #include "s3/core/evaluation.h"
-#include "s3/core/online_s3.h"
-#include "s3/core/selector_factory.h"
-#include "s3/runtime/replay_driver.h"
+#include "s3/social/live_social_model.h"
+#include "s3/social/presence_table.h"
 #include "s3/trace/generator.h"
 #include "s3/util/rng.h"
 
@@ -198,7 +197,9 @@ TEST(CliqueMaintainer, SyncFollowsOnlineModelDeltas) {
   const SocialIndexModel base =
       core::train_from_workload(world.network, world.workload, eval);
 
-  core::OnlineSocialModel online(&base, core::OnlineS3Config{});
+  LiveSocialModel<PairStore> online(&base);
+  PresenceTable presence(util::SimTime::from_minutes(5),
+                         util::SimTime::from_minutes(10));
   CliqueMaintainer m;
   EXPECT_FALSE(m.sync(online));
 
@@ -208,8 +209,8 @@ TEST(CliqueMaintainer, SyncFollowsOnlineModelDeltas) {
   std::size_t replayed = 0;
   for (std::size_t i = 0; i < world.workload.size() && replayed < 400; ++i) {
     const trace::SessionRecord& s = world.workload.session(i);
-    online.on_associate(i, s.user, s.ap, s.connect);
-    online.on_disconnect(i, s.user, s.ap, s.disconnect);
+    presence.arrive(s.ap, i, s.user, s.connect);
+    online.learn(presence.depart(s.ap, i, s.disconnect));
     ++replayed;
     if (replayed % 97 == 0) {
       EXPECT_TRUE(m.sync(online));
@@ -291,68 +292,6 @@ TEST(CliqueMaintainer, IncompletePollForcesReseed) {
   EXPECT_FALSE(m.has_edge(0, 1));
   EXPECT_TRUE(m.has_edge(4, 5));
   expect_bitwise_equal(m.cover(), m.solve_from_scratch());
-}
-
-// --- induced batch graphs and placement identity --------------------
-
-TEST(CliqueMaintainer, InducedBatchGraphMatchesPairwiseProbes) {
-  CliqueMaintainer m(8);
-  m.set_theta(0, 1, 0.9);
-  m.set_theta(1, 2, 0.8);
-  m.set_theta(3, 4, 0.7);
-  m.set_theta(5, 6, 0.4);
-  const std::vector<UserId> batch = {6, 0, 2, 1, 3, 0};  // dup user 0
-  const WeightedGraph g = m.induced_batch_graph(batch);
-  ASSERT_EQ(g.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    for (std::size_t j = i + 1; j < batch.size(); ++j) {
-      const bool expect_edge =
-          batch[i] != batch[j] && m.has_edge(batch[i], batch[j]);
-      EXPECT_EQ(g.adjacent(i, j), expect_edge) << i << "," << j;
-      if (expect_edge) {
-        EXPECT_EQ(g.weight(i, j), m.edge_weight(batch[i], batch[j]));
-      }
-    }
-  }
-}
-
-/// The incremental batch-graph path changes how edges are *found*,
-/// never which placements come out: replays with the flag on and off,
-/// at 1 and 8 threads, must agree assignment for assignment.
-TEST(CliqueMaintainer, S3PlacementsIdenticalWithIncrementalCliques) {
-  trace::GeneratorConfig gc;
-  gc.seed = 7;
-  gc.num_users = 150;
-  gc.num_days = 3;
-  gc.layout.num_buildings = 3;
-  gc.layout.aps_per_building = 5;
-  const trace::GeneratedTrace world = trace::generate_campus_trace(gc);
-  core::EvaluationConfig eval;
-  eval.train_days = 2;
-  eval.test_days = 1;
-  const SocialIndexModel model =
-      core::train_from_workload(world.network, world.workload, eval);
-
-  const auto run = [&](bool incremental, unsigned threads) {
-    core::S3Config sc;
-    sc.incremental_cliques = incremental;
-    const core::S3Factory factory(&world.network, &model, sc);
-    runtime::ReplayDriverConfig rc;
-    rc.threads = threads;
-    return runtime::ReplayDriver(world.network, rc)
-        .run(world.workload, factory);
-  };
-
-  const sim::ReplayResult probe = run(false, 1);
-  ASSERT_GE(probe.stats.max_batch_size, 2u);  // the maintainer path ran
-  for (const unsigned threads : {1u, 8u}) {
-    const sim::ReplayResult inc = run(true, threads);
-    ASSERT_EQ(probe.assigned.size(), inc.assigned.size());
-    for (std::size_t i = 0; i < probe.assigned.size(); ++i) {
-      ASSERT_EQ(probe.assigned.session(i).ap, inc.assigned.session(i).ap)
-          << "session " << i << " threads " << threads;
-    }
-  }
 }
 
 // --- CliqueScoreCache -----------------------------------------------

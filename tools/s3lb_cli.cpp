@@ -140,8 +140,6 @@ constexpr ArgSpec kReplaySpecs[] = {
     {"window", ArgKind::kInt, "dispatch window seconds (default 120)"},
     {"threads", ArgKind::kInt, "replay workers (default 0 = all cores)"},
     {"seed", ArgKind::kInt, "seed for the random policy (default 1)"},
-    {"incremental-cliques", ArgKind::kFlag,
-     "maintain batch θ-graphs incrementally (same placements, fewer probes)"},
     {"metrics", ArgKind::kFlag, "dump the instrumentation bus"},
     {"check", ArgKind::kString, "contract mode: off|count|log|abort"},
     {"fault-plan", ArgKind::kString, "s3fault v1 schedule file"},
@@ -308,10 +306,6 @@ int cmd_replay(const Flags& f) {
   spec.llf_metric = core::LoadMetric::kStations;
   spec.random_seed = static_cast<std::uint64_t>(f.num("seed", 1));
   spec.net = &net;
-  if (f.has("incremental-cliques")) {
-    spec.s3.incremental_cliques = true;
-    spec.online.s3.incremental_cliques = true;
-  }
   if (policy_name == "s3" || policy_name == "s3-online") {
     if (!f.has("model")) die("replay --policy " + policy_name + " needs --model");
     social::ModelReadResult mr =
