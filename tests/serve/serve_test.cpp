@@ -6,7 +6,9 @@
 // the LiveSocialModel<PairStore> that S3-online replay runs, fed the
 // same association events.
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -293,6 +295,162 @@ TEST(ServePipeline, SocialSnapshotCohesionReflectsCoLocatedCliques) {
         << "multi-member cliques exist but no co-located pair scored";
   }
   EXPECT_GT(snap.scores_recomputed, 0U);
+}
+
+/// What social_snapshot() must report, computed without the pipeline's
+/// maintainer: the cover of a fresh CliqueMaintainer seeded by the full
+/// θ sweep over the live model, and cohesion summed from the caller's
+/// own user → AP map, clique by clique, in the pipeline's order.
+struct CoverReference {
+  std::size_t cliques = 0;
+  std::size_t singletons = 0;
+  std::size_t largest = 0;
+  bool exact = true;
+  double cohesion = 0.0;
+};
+
+CoverReference reference_snapshot(const ServePipeline& p,
+                                  const ServeConfig& cfg,
+                                  const std::vector<ApId>& ap_of) {
+  social::CliqueMaintainerConfig mc;
+  mc.theta_threshold = cfg.s3.theta_threshold;
+  mc.clique = cfg.s3.clique;
+  social::CliqueMaintainer ref(0, mc);
+  ref.reset_from(p.model());
+  const social::CliqueCoverResult& cover = ref.cover();
+  CoverReference out;
+  out.exact = cover.exact;
+  for (const std::vector<std::size_t>& members : cover.cliques) {
+    out.largest = std::max(out.largest, members.size());
+    if (members.size() < 2) {
+      ++out.singletons;
+      continue;
+    }
+    ++out.cliques;
+    double sum = 0.0;
+    for (std::size_t a = 0; a < members.size(); ++a) {
+      const ApId ap_a = ap_of[members[a]];
+      if (ap_a == kInvalidAp) continue;
+      for (std::size_t b = a + 1; b < members.size(); ++b) {
+        if (ap_of[members[b]] != ap_a) continue;
+        sum += ref.edge_weight(static_cast<UserId>(members[a]),
+                               static_cast<UserId>(members[b]));
+      }
+    }
+    out.cohesion += sum;
+  }
+  return out;
+}
+
+void expect_snapshot_matches(const SocialSnapshot& got,
+                             const CoverReference& want) {
+  EXPECT_EQ(got.cliques, want.cliques);
+  EXPECT_EQ(got.singletons, want.singletons);
+  EXPECT_EQ(got.largest, want.largest);
+  EXPECT_EQ(got.exact, want.exact);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.cohesion),
+            std::bit_cast<std::uint64_t>(want.cohesion))
+      << "cohesion " << got.cohesion << " vs reference " << want.cohesion;
+}
+
+/// One client's event stream: every user in `users` lives in building
+/// `b`, and each step picks one of them at random, departing its
+/// session if it has one and placing a new one otherwise, so no user
+/// ever holds two sessions. Session ids are user + 1. `ap_of[user]`
+/// tracks the AP of the user's active session (kInvalidAp when none);
+/// streams over disjoint users write disjoint entries.
+class SessionStream {
+ public:
+  SessionStream(ServePipeline& p, std::vector<UserId> users, BuildingId b,
+                std::uint64_t seed, std::vector<ApId>& ap_of)
+      : p_(&p), users_(std::move(users)), b_(b), rng_(seed), ap_of_(&ap_of) {}
+
+  void step() {
+    now_ += 20 + static_cast<std::int64_t>(next() % 80);
+    const UserId u = users_[next() % users_.size()];
+    if ((*ap_of_)[u] != kInvalidAp) {
+      ASSERT_TRUE(p_->depart(u + 1, util::SimTime::from_seconds(now_)));
+      (*ap_of_)[u] = kInvalidAp;
+    } else {
+      const PlaceResult r = p_->place(request(u + 1, u, b_, now_));
+      ASSERT_TRUE(r.placed);
+      (*ap_of_)[u] = r.ap;
+    }
+  }
+
+ private:
+  std::uint64_t next() {
+    rng_ ^= rng_ << 13;
+    rng_ ^= rng_ >> 7;
+    rng_ ^= rng_ << 17;
+    return rng_;
+  }
+
+  ServePipeline* p_;
+  std::vector<UserId> users_;
+  BuildingId b_;
+  std::uint64_t rng_;
+  std::vector<ApId>* ap_of_;
+  std::int64_t now_ = 0;
+};
+
+/// Even users stream in building 0, odd users in building 1.
+std::vector<UserId> users_of_building(BuildingId b) {
+  std::vector<UserId> out;
+  for (UserId u = b; u < world().model.num_users(); u += 2) out.push_back(u);
+  return out;
+}
+
+// The maintained cover and its cohesion must equal a from-scratch
+// solve over the live model at every checkpoint, however the live
+// events arrived: first from one thread, then from two threads placing
+// and departing on the two buildings while a third keeps asking for
+// snapshots.
+TEST(ServePipeline, SocialSnapshotMatchesFromScratchCover) {
+  const World& w = world();
+  const ServeConfig cfg;
+  {
+    ServePipeline p(&w.gen.network, &w.model, cfg);
+    std::vector<ApId> ap_of(w.model.num_users(), kInvalidAp);
+    SessionStream s0(p, users_of_building(0), 0, 11, ap_of);
+    SessionStream s1(p, users_of_building(1), 1, 23, ap_of);
+    expect_snapshot_matches(p.social_snapshot(),
+                            reference_snapshot(p, cfg, ap_of));
+    for (int step = 1; step <= 3000; ++step) {
+      s0.step();
+      s1.step();
+      if (step % 500 == 0) {
+        SCOPED_TRACE(step);
+        expect_snapshot_matches(p.social_snapshot(),
+                                reference_snapshot(p, cfg, ap_of));
+      }
+    }
+    EXPECT_GT(p.model().updated_pairs(), 0U)
+        << "stream produced no social events — test is vacuous";
+    EXPECT_GT(reference_snapshot(p, cfg, ap_of).cohesion, 0.0)
+        << "no clique pair shares an AP — cohesion is untested";
+  }
+  {
+    ServePipeline p(&w.gen.network, &w.model, cfg);
+    std::vector<ApId> ap_of(w.model.num_users(), kInvalidAp);
+    std::atomic<int> running{2};
+    const auto client = [&](BuildingId b, std::uint64_t seed) {
+      SessionStream s(p, users_of_building(b), b, seed, ap_of);
+      for (int step = 0; step < 1500; ++step) s.step();
+      running.fetch_sub(1);
+    };
+    std::thread c0(client, BuildingId{0}, 31);
+    std::thread c1(client, BuildingId{1}, 47);
+    std::thread monitor([&] {
+      while (running.load() > 0) p.social_snapshot();
+    });
+    c0.join();
+    c1.join();
+    monitor.join();
+    EXPECT_GT(p.model().updated_pairs(), 0U);
+    expect_snapshot_matches(p.social_snapshot(),
+                            reference_snapshot(p, cfg, ap_of));
+  }
 }
 
 TEST(ServePipeline, ModelOutageServesFallbackAndRecovers) {
