@@ -1,10 +1,12 @@
 // Clique hot-path microbench — the incremental-maintenance speedup
 // claim, measured.
 //
-// S3 needs an up-to-date clique cover of the θ > 0.3 graph for every
-// selection round, but per-round churn touches only a few pairs. This
-// bench builds a campus-scale community universe (communities of 8,
-// the paper's typical close-relation group size), then times rounds of
+// CliqueMaintainer keeps the clique cover of the θ > 0.3 graph that the
+// serve `social` verb reports (S3 placement builds its batch graphs
+// from θ probes and never reads it), and between two cover queries
+// churn touches only a few pairs. This bench builds a campus-scale
+// community universe (communities of 8, the paper's typical
+// close-relation group size), then times rounds of
 //
 //   churn  — a seeded batch of θ re-writes (inserts, deletes,
 //            re-weights) touching a few percent of the population

@@ -12,16 +12,16 @@ namespace s3::serve {
 
 namespace {
 
-/// Why an arrival bounced, recovered from the stats delta — place()
-/// reports rejection only as placed=false, but the protocol wants the
-/// reason on the wire.
-const char* rejection_reason(const ServeStats& before,
-                             const ServeStats& after) {
-  if (after.rejected_duplicate_id > before.rejected_duplicate_id) {
-    return "duplicate-id";
-  }
-  if (after.rejected_unknown_user > before.rejected_unknown_user) {
-    return "unknown-user";
+/// The `place <id> reject <why>` token for a rejection.
+const char* wire_name(PlaceRejection why) {
+  switch (why) {
+    case PlaceRejection::kDuplicateId:
+      return "duplicate-id";
+    case PlaceRejection::kUnknownUser:
+      return "unknown-user";
+    case PlaceRejection::kNoCandidate:
+    case PlaceRejection::kNone:
+      break;
   }
   return "no-candidate";
 }
@@ -83,13 +83,11 @@ bool run_line_protocol(ServePipeline& pipeline, std::istream& in,
         continue;
       }
       req.when = util::SimTime::from_seconds(t);
-      const ServeStats before = pipeline.stats();
       const PlaceResult r = pipeline.place(req);
       if (r.placed) {
         response << "place " << req.id << ' ' << r.ap;
       } else {
-        response << "place " << req.id << " reject "
-                 << rejection_reason(before, pipeline.stats());
+        response << "place " << req.id << " reject " << wire_name(r.rejection);
       }
       respond();
     } else if (verb == "depart") {

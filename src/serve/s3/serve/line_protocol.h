@@ -26,8 +26,9 @@
 // `social` serves ServePipeline::social_snapshot(): the maintained
 // clique cover of the live θ-graph plus the cohesion score (θ mass of
 // clique pairs currently sharing an AP). The first query seeds the
-// maintained graph; later ones drain the model's ThetaDelta feed and
-// re-solve only dirty components (incremental=1).
+// maintained graph from the trained model; every query re-applies θ
+// for each live pair (`deltas` counts those applications) and
+// re-solves only dirty components (incremental=1 after the first).
 //
 // Malformed lines get a structured reply and processing continues:
 //

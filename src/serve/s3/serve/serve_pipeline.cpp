@@ -29,7 +29,6 @@ ServePipeline::ServePipeline(const wlan::Network* net,
       config_(std::move(config)),
       shared_(base, config_.expected_live_pairs) {
   S3_REQUIRE(net_ != nullptr, "ServePipeline: null network");
-  health_ = std::make_unique<fault::HealthBoard>(net_->num_controllers());
   core::SelectorSpec spec;
   spec.llf_metric = config_.llf_metric;
   spec.random_seed = config_.random_seed;
@@ -70,12 +69,14 @@ PlaceResult ServePipeline::place(const PlaceRequest& req) {
   const auto t0 = std::chrono::steady_clock::now();
   const ControllerId domain_id = net_->controller_of_building(req.building);
 
+  PlaceResult result;
   // Reserve the session id first so a concurrent duplicate place() is
   // rejected instead of double-associated. The placeholder (ap ==
   // kInvalidAp) also makes a racing depart() for this id a no-op.
   if (!registry_.reserve(req.id, req.user)) {
     rejected_duplicate_id_.fetch_add(1, std::memory_order_relaxed);
-    return {};
+    result.rejection = PlaceRejection::kDuplicateId;
+    return result;
   }
 
   sim::Arrival arrival;
@@ -97,10 +98,10 @@ PlaceResult ServePipeline::place(const PlaceRequest& req) {
   if (arrival.candidates.empty()) {
     rejected_no_candidate_.fetch_add(1, std::memory_order_relaxed);
     registry_.cancel(req.id);
-    return {};
+    result.rejection = PlaceRejection::kNoCandidate;
+    return result;
   }
 
-  PlaceResult result;
   Domain& d = *domains_[domain_id];
   {
     util::MutexLock hold(d.mu);
@@ -108,7 +109,8 @@ PlaceResult ServePipeline::place(const PlaceRequest& req) {
         req.user >= shared_.num_users()) {
       rejected_unknown_user_.fetch_add(1, std::memory_order_relaxed);
       registry_.cancel(req.id);
-      return {};
+      result.rejection = PlaceRejection::kUnknownUser;
+      return result;
     }
     sim::BatchRequest request;
     request.arrivals = {&arrival, 1};
@@ -132,9 +134,6 @@ PlaceResult ServePipeline::place(const PlaceRequest& req) {
     d.tracker->associate(arrival.session_index, ap, req.user,
                          req.demand_mbps);
     d.selector->on_associate(arrival, ap);
-    if (config_.injector != nullptr) {
-      health_->publish(domain_id, d.degradation.state());
-    }
   }
 
   // Presence must be visible before the session id is committed: a
@@ -154,8 +153,6 @@ PlaceResult ServePipeline::place(const PlaceRequest& req) {
   registry_.commit(req.id, session);
   if (req.user < user_ap_.size()) {
     user_ap_[req.user].store(result.ap, std::memory_order_relaxed);
-    util::MutexLock social(social_.mu);
-    social_.scores.invalidate_user(req.user);
   }
   active_.fetch_add(1, std::memory_order_relaxed);
   placements_.fetch_add(1, std::memory_order_relaxed);
@@ -199,8 +196,6 @@ bool ServePipeline::depart(std::uint64_t id, util::SimTime when) {
 
   if (s->user < user_ap_.size()) {
     user_ap_[s->user].store(kInvalidAp, std::memory_order_relaxed);
-    util::MutexLock social(social_.mu);
-    social_.scores.invalidate_user(s->user);
   }
   active_.fetch_sub(1, std::memory_order_relaxed);
   departures_.fetch_add(1, std::memory_order_relaxed);
@@ -209,17 +204,13 @@ bool ServePipeline::depart(std::uint64_t id, util::SimTime when) {
 
 SocialSnapshot ServePipeline::social_snapshot() {
   util::MutexLock hold(social_.mu);
-  const bool incremental = social_.view.sync(shared_);
-  const social::CliqueCoverResult& cover = social_.view.cover();
-  social_.scores.bind(cover, social_.view.cover_version());
-
   SocialSnapshot out;
+  out.incremental = social_.view.sync(shared_);
+  const social::CliqueCoverResult& cover = social_.view.cover();
   out.users = shared_.num_users();
   out.exact = cover.exact;
-  out.incremental = incremental;
   out.cover_version = social_.view.cover_version();
-  for (std::size_t i = 0; i < cover.cliques.size(); ++i) {
-    const std::vector<std::size_t>& members = cover.cliques[i];
+  for (const std::vector<std::size_t>& members : cover.cliques) {
     out.largest = std::max(out.largest, members.size());
     if (members.size() < 2) {
       ++out.singletons;
@@ -227,29 +218,25 @@ SocialSnapshot ServePipeline::social_snapshot() {
     }
     ++out.cliques;
     // ΣC(AP) over this clique: θ mass of member pairs currently placed
-    // on the same AP. Cached per clique; placements invalidate O(1).
-    out.cohesion += social_.scores.score(i, [&](std::size_t) {
-      double sum = 0.0;
-      for (std::size_t a = 0; a < members.size(); ++a) {
-        const UserId ua = static_cast<UserId>(members[a]);
-        const ApId ap_a = user_ap_[ua].load(std::memory_order_relaxed);
-        if (ap_a == kInvalidAp) continue;
-        for (std::size_t b = a + 1; b < members.size(); ++b) {
-          const UserId ub = static_cast<UserId>(members[b]);
-          if (user_ap_[ub].load(std::memory_order_relaxed) != ap_a) continue;
-          sum += social_.view.edge_weight(ua, ub);
-        }
+    // on the same AP.
+    double sum = 0.0;
+    for (std::size_t a = 0; a < members.size(); ++a) {
+      const UserId ua = static_cast<UserId>(members[a]);
+      const ApId ap_a = user_ap_[ua].load(std::memory_order_relaxed);
+      if (ap_a == kInvalidAp) continue;
+      for (std::size_t b = a + 1; b < members.size(); ++b) {
+        const UserId ub = static_cast<UserId>(members[b]);
+        if (user_ap_[ub].load(std::memory_order_relaxed) != ap_a) continue;
+        sum += social_.view.edge_weight(ua, ub);
       }
-      return sum;
-    });
+    }
+    out.cohesion += sum;
   }
   const social::CliqueMaintainerStats& ms = social_.view.stats();
   out.deltas_applied = ms.deltas_applied;
   out.components_solved = ms.components_solved;
   out.components_reused = ms.components_reused;
   out.reseeds = ms.reseeds;
-  out.scores_recomputed = social_.scores.recomputed();
-  out.scores_reused = social_.scores.reused();
   return out;
 }
 
@@ -273,9 +260,9 @@ ServeStats ServePipeline::stats() const noexcept {
 
 fault::HealthState ServePipeline::domain_health(ControllerId domain) const {
   S3_REQUIRE(domain < domains_.size(), "serve: domain out of range");
-  // Reads the published snapshot — monitoring never touches the
-  // domain placement lock.
-  return health_->state(domain);
+  const Domain& d = *domains_[domain];
+  util::MutexLock hold(d.mu);
+  return d.degradation.state();
 }
 
 }  // namespace s3::serve

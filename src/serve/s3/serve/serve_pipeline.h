@@ -37,7 +37,6 @@
 #include "s3/core/selector_factory.h"
 #include "s3/fault/degradation.h"
 #include "s3/fault/fault_injector.h"
-#include "s3/fault/health_board.h"
 #include "s3/serve/session_registry.h"
 #include "s3/social/clique_maintainer.h"
 #include "s3/social/live_social_model.h"
@@ -77,41 +76,46 @@ struct PlaceRequest {
   double demand_mbps = 0.0;
 };
 
+/// Why place() turned an arrival away.
+enum class PlaceRejection : std::uint8_t {
+  kNone,
+  kNoCandidate,  ///< no live AP of the building's domain in range
+  kUnknownUser,  ///< user id outside a social policy's model
+  kDuplicateId,  ///< id already names an active session
+};
+
 struct PlaceResult {
   bool placed = false;
   ApId ap = kInvalidAp;
   bool fallback = false;    ///< served by the degradation fallback
   bool overloaded = false;  ///< chosen AP had no bandwidth headroom
+  PlaceRejection rejection = PlaceRejection::kNone;  ///< set iff !placed
 };
 
 /// Monitoring view of the live social structure: the maintained clique
 /// cover of the θ-graph over the shared model, plus how much of its
 /// social mass current placements keep together. Served by
 /// ServePipeline::social_snapshot() (the `social` protocol verb)
-/// without rebuilding the graph — the pipeline's CliqueMaintainer
-/// consumes the shared model's ThetaDelta feed and re-solves only the
-/// components live events actually touched.
+/// without rebuilding the graph: the pipeline's CliqueMaintainer
+/// re-applies the live pairs and re-solves only the components whose
+/// edges moved.
 struct SocialSnapshot {
   std::size_t users = 0;
   std::size_t cliques = 0;     ///< multi-member cliques in the cover
   std::size_t singletons = 0;  ///< size-1 cover entries
   std::size_t largest = 0;
   bool exact = true;  ///< no extraction hit the node budget
-  /// False when this query had to reseed from scratch (first call, or
-  /// the feed window was outrun).
+  /// False when this query seeded the maintained graph (the first).
   bool incremental = false;
-  /// Σ over cliques of the cached ΣC(AP) score: the θ mass of member
-  /// pairs whose current placements share an AP. Scores are cached per
-  /// clique and invalidated by placement changes touching a member.
+  /// Σ over multi-member cliques of ΣC(AP): the θ mass of member pairs
+  /// whose current placements share an AP.
   double cohesion = 0.0;
   std::uint64_t cover_version = 0;
-  // Cumulative maintainer / score-cache telemetry.
-  std::uint64_t deltas_applied = 0;
+  // Cumulative maintainer telemetry.
+  std::uint64_t deltas_applied = 0;  ///< live-pair θ applications
   std::uint64_t components_solved = 0;
   std::uint64_t components_reused = 0;
   std::uint64_t reseeds = 0;
-  std::uint64_t scores_recomputed = 0;
-  std::uint64_t scores_reused = 0;
 };
 
 struct ServeStats {
@@ -138,7 +142,7 @@ class ServePipeline {
 
   /// Places one arrival; thread-safe. Rejections (no live candidate
   /// AP, unknown user under a social policy, duplicate id) return
-  /// placed = false and are counted in stats().
+  /// placed = false with the reason, and are counted in stats().
   PlaceResult place(const PlaceRequest& req);
 
   /// Ends the session placed under `id`; thread-safe. Returns false
@@ -158,20 +162,20 @@ class ServePipeline {
   }
 
   /// Current social structure (see SocialSnapshot). Thread-safe; the
-  /// first call seeds the maintained θ-graph (O(users²) θ probes),
-  /// later calls drain the shared model's delta feed and re-solve only
-  /// dirty components. Concurrent placements keep streaming — the
-  /// snapshot serializes only against other snapshots and the O(1)
-  /// per-placement score invalidation.
+  /// first call seeds the maintained θ-graph from the trained model's
+  /// recorded pairs, and every call re-applies θ for each live pair
+  /// and re-solves only dirty components. Placements never wait on it;
+  /// departures wait only while the live pairs are copied out.
   SocialSnapshot social_snapshot();
 
+  /// Degradation state of `domain`; takes that domain's lock.
   fault::HealthState domain_health(ControllerId domain) const;
 
  private:
   struct Domain {
     explicit Domain(const ServeConfig& config)
         : presence(config.co_leave_window, config.min_encounter_overlap) {}
-    util::Mutex mu;
+    mutable util::Mutex mu;
     std::unique_ptr<sim::ApSelector> selector S3_GUARDED_BY(mu);
     std::unique_ptr<sim::ApLoadTracker> tracker S3_GUARDED_BY(mu);
     fault::DegradationTracker degradation S3_GUARDED_BY(mu);
@@ -188,21 +192,16 @@ class ServePipeline {
   std::vector<std::unique_ptr<Domain>> domains_;
   /// id -> live session, sharded (see SessionRegistry's protocol).
   SessionRegistry registry_;
-  /// Monitoring-facing health snapshots, published after every
-  /// degradation step so domain_health() skips the domain lock.
-  std::unique_ptr<fault::HealthBoard> health_;
 
   std::atomic<std::size_t> next_session_{0};
   std::atomic<std::size_t> active_{0};
 
-  /// Social monitoring state (social_snapshot): the maintained cover
-  /// and its per-clique score cache, touched by placements only for
-  /// the O(1) invalidation. Same shape as Domain: the struct owns the
-  /// lock its fields are tied to.
+  /// Social monitoring state: the maintained cover, which only
+  /// social_snapshot() touches. Same shape as Domain: the struct owns
+  /// the lock its fields are tied to.
   struct SocialView {
     util::Mutex mu;
     social::CliqueMaintainer view S3_GUARDED_BY(mu);
-    social::CliqueScoreCache scores S3_GUARDED_BY(mu);
   };
   SocialView social_;
   /// Latest AP each user is placed on (kInvalidAp when absent); sized

@@ -1,14 +1,11 @@
-// Incremental θ-graph and clique-cover maintenance (ROADMAP item 4).
+// Incremental θ-graph and clique-cover maintenance behind the serve
+// `social` verb (ServePipeline::social_snapshot).
 //
-// S3's placement quality comes from re-solving maximum cliques on the
-// θ > threshold social graph, but per-batch churn touches only a few
-// edges: rebuilding the graph and re-running Östergård from scratch on
-// every query wastes almost all of its work at campus scale. A
-// CliqueMaintainer mirrors a ThetaProvider's strict-threshold edge set
-// as a sparse adjacency structure, tracks its connected components,
-// and re-solves only the components whose edges crossed the threshold
-// (or changed weight) since the last query — every clean component's
-// cover is served from cache.
+// A CliqueMaintainer mirrors a ThetaProvider's strict-threshold edge
+// set as a sparse adjacency structure, tracks its connected
+// components, and re-solves only the components whose edges crossed
+// the threshold (or changed weight) since the last query — every clean
+// component's cover is served from cache.
 //
 // The canonical cover is defined per component: components ordered by
 // their minimum vertex, each solved independently with clique_cover()
@@ -22,15 +19,13 @@
 // differential suite does, at several thread counts) is a real guard
 // on the dirty-set and component bookkeeping.
 //
-// Synchronisation with a live provider goes through the ThetaDelta
-// change feed (graph.h): sync() drains poll_theta_deltas() and applies
-// each record; an incomplete poll (log truncation, or a provider
-// without a feed) falls back to reset_from(), the full reseed.
+// sync() follows a LiveSocialModel: it seeds once from the trained
+// base, then re-applies θ for every live pair on each call (see
+// live_social_model.h for why that is the whole difference).
 //
-// Threading: not thread-safe. One maintainer has one owner; concurrent
-// pipelines guard theirs with a mutex and rely on the feed contract to
-// tolerate writers racing the reseed (re-applied deltas are
-// idempotent).
+// Threading: not thread-safe. One maintainer has one owner; the serve
+// pipeline guards its own with a mutex that only social_snapshot()
+// takes.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +34,7 @@
 
 #include "s3/social/clique.h"
 #include "s3/social/graph.h"
+#include "s3/social/live_social_model.h"
 #include "s3/social/social_index.h"
 #include "s3/util/ids.h"
 
@@ -56,7 +52,7 @@ struct CliqueMaintainerStats {
   std::uint64_t edges_inserted = 0;
   std::uint64_t edges_removed = 0;
   std::uint64_t edges_reweighted = 0;
-  std::uint64_t deltas_applied = 0;
+  std::uint64_t deltas_applied = 0;  ///< live-pair θ applications by sync()
   std::uint64_t component_merges = 0;
   std::uint64_t component_splits = 0;
   std::uint64_t components_solved = 0;  ///< fresh per-component solves
@@ -77,24 +73,22 @@ class CliqueMaintainer {
                             CliqueMaintainerConfig config = {});
 
   /// Full reseed: drop everything and mirror the provider's current
-  /// strict-threshold edge set. Also fast-forwards the feed cursor, so
-  /// a following sync() resumes incrementally. The cursor is captured
-  /// *before* the state is read: deltas recorded by writers racing the
-  /// reseed get re-applied afterwards, which set_theta makes a no-op.
+  /// strict-threshold edge set (for_each_theta_edge, which walks only
+  /// recorded pairs when the provider is a SocialIndexModel whose type
+  /// prior cannot clear the threshold).
   void reset_from(const ThetaProvider& model);
 
-  /// Drains the provider's change feed and applies every record;
-  /// reseeds instead when the feed is incomplete (or on first use /
-  /// population change). Returns true when served incrementally.
-  bool sync(const ThetaProvider& model);
+  /// Mirrors `model`'s current strict-threshold edge set. The first
+  /// call (or a population change) seeds from model.base() through
+  /// reset_from; every call then re-applies θ for every live pair.
+  /// Returns false when this call seeded.
+  template <typename Store>
+  bool sync(const LiveSocialModel<Store>& model);
 
   /// Point mutation: θ(u, v) is now `theta`. Inserts, removes, or
   /// re-weights the edge as the strict threshold rule dictates;
   /// exact-equal re-weights are no-ops (no component goes dirty).
   void set_theta(UserId u, UserId v, double theta);
-
-  /// Applies one feed record (set_theta on its pair).
-  void apply(const ThetaDelta& delta);
 
   std::size_t num_users() const noexcept { return adj_.size(); }
   const CliqueMaintainerConfig& config() const noexcept { return config_; }
@@ -117,7 +111,7 @@ class CliqueMaintainer {
   CliqueCoverResult solve_from_scratch() const;
 
   /// Bumps every time an assembled cover differs from the previous one
-  /// (i.e. some component was re-solved). Score caches key on it.
+  /// (i.e. some component was re-solved).
   std::uint64_t cover_version() const noexcept { return cover_version_; }
 
   /// Components currently marked dirty (re-solved at next cover()).
@@ -161,61 +155,12 @@ class CliqueMaintainer {
   mutable std::vector<UserId> bfs_queue_;
 
   bool seeded_ = false;
-  std::uint64_t feed_cursor_ = 0;
-  std::vector<ThetaDelta> feed_scratch_;
 
   CliqueCoverResult assembled_;
   bool assembled_valid_ = false;
   std::uint64_t cover_version_ = 0;
 
   CliqueMaintainerStats stats_{};
-};
-
-/// Caches one double score per clique of a maintained cover — the
-/// serve pipeline stores each clique's ΣC(AP) social-cohesion sum.
-/// Scores key on CliqueMaintainer::cover_version(): a version change
-/// (some component re-solved) drops everything; within a version,
-/// individual scores are invalidated by placement changes through
-/// invalidate_user(). Not thread-safe; callers bring the lock that
-/// already guards the maintainer.
-class CliqueScoreCache {
- public:
-  /// Points the cache at a cover snapshot. Same `version` as the
-  /// previous bind → cached scores survive except those invalidated
-  /// since; a new version rebuilds the member → clique map and drops
-  /// every score.
-  void bind(const CliqueCoverResult& cover, std::uint64_t version);
-
-  /// A placement change touched `u`: the score of the clique
-  /// containing it (if any) is recomputed at next read.
-  void invalidate_user(UserId u);
-
-  /// Cached score of clique `i`, recomputed via `compute(i)` on miss.
-  template <typename Fn>
-  double score(std::size_t i, Fn&& compute) {
-    S3_REQUIRE(i < scores_.size(), "CliqueScoreCache: index out of range");
-    if (!valid_[i]) {
-      scores_[i] = compute(i);
-      valid_[i] = 1;
-      ++recomputed_;
-    } else {
-      ++reused_;
-    }
-    return scores_[i];
-  }
-
-  std::uint64_t recomputed() const noexcept { return recomputed_; }
-  std::uint64_t reused() const noexcept { return reused_; }
-
- private:
-  bool bound_ = false;
-  std::uint64_t version_ = 0;
-  std::vector<double> scores_;
-  std::vector<char> valid_;
-  /// member user id -> clique index in the bound cover (or npos).
-  std::vector<std::uint32_t> clique_of_;
-  std::uint64_t recomputed_ = 0;
-  std::uint64_t reused_ = 0;
 };
 
 }  // namespace s3::social

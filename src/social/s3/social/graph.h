@@ -1,8 +1,7 @@
 // Weighted undirected graph over a working set of users, with dynamic
 // bitset adjacency — the representation the clique machinery runs on —
-// plus the ThetaDelta change-feed record that keeps incremental
-// consumers (social::CliqueMaintainer) in sync with a mutating
-// θ provider without whole-model rebuilds.
+// plus the ThetaDelta change-feed record of ThetaProvider's optional
+// feed interface.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +18,7 @@ class ThetaProvider;
 /// One record of a ThetaProvider's structured change feed: pair
 /// (u, v)'s social relation index moved to `theta`.
 ///
-/// Invalidation contract (the delta-driven social API):
+/// Invalidation contract of the feed interface:
 ///
 ///   * A provider that emits deltas (`ThetaProvider::emits_theta_deltas`)
 ///     records one ThetaDelta for *every* mutation that changes any
@@ -27,25 +26,25 @@ class ThetaProvider;
 ///     consumer that applies a feed suffix in order therefore converges
 ///     on the provider's current θ for every touched pair; pairs never
 ///     mentioned by the feed are unchanged since the consumer's last
-///     sync point. Derived state (θ-graph edges, clique covers,
-///     per-clique scores) stays valid for every pair the drained feed
-///     does not mention, and must be repaired only where it does.
-///   * Feeds are bounded. When a poll reports `complete == false` the
-///     provider discarded records the consumer had not seen (log
-///     truncation), and every derived structure is invalid: the
-///     consumer must re-seed from the provider's current state
-///     (CliqueMaintainer::reset_from) before trusting any query.
+///     sync point.
+///   * Feeds may be bounded. When a poll reports `complete == false` the
+///     provider discarded records the consumer had not seen, and every
+///     derived structure is invalid: the consumer must rebuild from the
+///     provider's current state before trusting any query.
 ///   * A provider that mutates but does not emit deltas advances
 ///     `read_epoch()` with an always-incomplete feed — the epoch is the
-///     coarse invalidate-everything signal the feed refines. Immutable
-///     providers (a trained SocialIndexModel) have an exact, forever
-///     empty feed.
+///     coarse invalidate-everything signal. LiveSocialModel
+///     (live_social_model.h), the one mutating provider, is such a
+///     provider. Immutable providers (a trained SocialIndexModel) have
+///     an exact, forever empty feed.
 ///   * `epoch` stamps the provider's read_epoch() just after the
 ///     mutation, so a consumer can bracket a drained suffix against
 ///     snapshot reads (social_index.h's read-snapshot contract).
-///     LiveSocialModel (live_social_model.h), the one mutating
-///     provider, counts its counter writes: record i of its feed
-///     carries epoch i + 1.
+///
+/// Nothing in the library polls a feed: CliqueMaintainer::sync reads a
+/// LiveSocialModel's live pairs directly. The interface stays for
+/// decorators that forward every ThetaProvider virtual, such as
+/// perfbench's ProbedTheta.
 struct ThetaDelta {
   UserPair pair{0, 1};
   double theta = 0.0;    ///< θ(pair) after the mutation

@@ -6,21 +6,6 @@
 
 namespace s3::social {
 
-namespace {
-/// Feed retention: enough for any realistic consumer cadence (a
-/// selector syncs every batch), small enough that an abandoned feed
-/// never grows without bound. Overflow drops the older half, so a
-/// consumer that skipped more than this many records reseeds.
-constexpr std::size_t kFeedCapacity = 1 << 16;
-}  // namespace
-
-template <typename Store>
-LiveSocialModel<Store>::Feed::Feed(const Feed& other) {
-  util::MutexLock hold(other.mu);
-  records = other.records;
-  base = other.base;
-}
-
 template <typename Store>
 LiveSocialModel<Store>::LiveSocialModel(const SocialIndexModel* base,
                                         std::size_t expected_live_pairs)
@@ -68,22 +53,11 @@ void LiveSocialModel<Store>::theta_row(UserId u, std::span<const UserId> vs,
 }
 
 template <typename Store>
-std::uint64_t LiveSocialModel<Store>::read_epoch() const noexcept {
-  util::MutexLock hold(feed_.mu);
-  return feed_.base + feed_.records.size();
-}
-
-template <typename Store>
-ThetaDeltaPoll LiveSocialModel<Store>::poll_theta_deltas(
-    std::uint64_t cursor, std::vector<ThetaDelta>& out) const {
-  util::MutexLock hold(feed_.mu);
-  const std::uint64_t end = feed_.base + feed_.records.size();
-  if (cursor < feed_.base || cursor > end) return ThetaDeltaPoll{end, false};
-  out.insert(
-      out.end(),
-      feed_.records.begin() + static_cast<std::ptrdiff_t>(cursor - feed_.base),
-      feed_.records.end());
-  return ThetaDeltaPoll{end, true};
+void LiveSocialModel<Store>::for_each_live_theta(
+    const std::function<void(UserPair, double)>& fn) const {
+  for (const auto& e : live_.sorted_entries()) {
+    fn(e.pair, live_theta(type_of(e.pair.a), e.pair.b, e.stats));
+  }
 }
 
 template <typename Store>
@@ -95,20 +69,7 @@ void LiveSocialModel<Store>::bump(UserId u, UserId v, Fn&& fn) {
   const PairStore::Stats* seed =
       live_.find(key) ? nullptr : base_->pair_stats().find(key);
   live_.update(key, std::forward<Fn>(fn), seed);
-  util::MutexLock hold(feed_.mu);
-  // θ is read here, after this writer's store update and inside the
-  // feed lock: every record appended before this one came from a
-  // writer whose store update happens-before ours was read, so the
-  // last record for any pair folds in every earlier-appended update.
-  if (feed_.records.size() >= kFeedCapacity) {
-    const std::size_t drop = feed_.records.size() / 2;
-    feed_.records.erase(
-        feed_.records.begin(),
-        feed_.records.begin() + static_cast<std::ptrdiff_t>(drop));
-    feed_.base += drop;
-  }
-  const std::uint64_t epoch = feed_.base + feed_.records.size() + 1;
-  feed_.records.push_back(ThetaDelta{key, theta(u, v), epoch});
+  writes_.n.fetch_add(1, std::memory_order_release);
 }
 
 template <typename Store>

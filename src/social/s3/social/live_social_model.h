@@ -21,23 +21,24 @@
 //     serve plane (ServePipeline) uses it: many controller threads read
 //     θ while departures on any domain write counters.
 //
-// Every counter write appends the pair's new θ to one bounded
-// ThetaDelta feed (graph.h), and the feed's end cursor is the model's
-// mutation counter (read_epoch). The feed has its own lock; θ is read
-// inside it after the store update, so the last record appended for a
-// pair always folds in every earlier-appended write, and a drained
-// suffix applied in order converges on the store's current θ.
+// A counter write is one store update plus one bump of a write
+// counter, which read_epoch() reports. The model keeps no change log:
+// a consumer that mirrors θ (CliqueMaintainer::sync) seeds from base()
+// and re-reads every live pair through for_each_live_theta, since live
+// entries are never erased and are the only pairs whose θ differs from
+// the base. In ThetaDelta terms (graph.h) this is a mutating provider
+// without a feed.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <span>
-#include <vector>
 
 #include "s3/social/concurrent_pair_store.h"
 #include "s3/social/pair_store.h"
 #include "s3/social/presence_table.h"
 #include "s3/social/social_index.h"
-#include "s3/util/thread_annotations.h"
 
 namespace s3::social {
 
@@ -58,22 +59,27 @@ class LiveSocialModel final : public ThetaProvider {
 
   std::size_t num_users() const override { return base_->num_users(); }
 
-  /// Counter writes so far: the feed's end cursor.
-  std::uint64_t read_epoch() const noexcept override S3_EXCLUDES(feed_.mu);
+  /// Counter writes so far.
+  std::uint64_t read_epoch() const noexcept override {
+    return writes_.n.load(std::memory_order_acquire);
+  }
 
-  /// One record per live counter write, carrying θ after the write.
-  /// Bounded: a consumer that falls behind the retained window gets an
-  /// incomplete poll and must reseed.
-  bool emits_theta_deltas() const noexcept override { return true; }
-  ThetaDeltaPoll poll_theta_deltas(std::uint64_t cursor,
-                                   std::vector<ThetaDelta>& out) const override
-      S3_EXCLUDES(feed_.mu);
+  /// The trained model the live counters continue.
+  const SocialIndexModel& base() const noexcept { return *base_; }
+
+  /// Calls fn(pair, θ) for every pair with live counters, in ascending
+  /// pair order. θ goes through theta()'s expression, so it equals
+  /// theta(pair.a, pair.b) bit for bit. Over ConcurrentPairStore this
+  /// reads sorted_entries(), a quiesced copy that briefly holds up
+  /// counter writes but not θ reads.
+  void for_each_live_theta(
+      const std::function<void(UserPair, double)>& fn) const;
 
   /// Counts one departure's events (PresenceTable::depart): an
   /// encounter with every peer in `events.encountered`, then a co-leave
   /// with every peer in `events.co_left`. Safe from any thread when
   /// `Store` is ConcurrentPairStore.
-  void learn(const DepartureEvents& events) S3_EXCLUDES(feed_.mu);
+  void learn(const DepartureEvents& events);
 
   /// Pairs whose statistics changed since training.
   std::size_t updated_pairs() const noexcept { return live_.size(); }
@@ -88,17 +94,12 @@ class LiveSocialModel final : public ThetaProvider {
   SocialIndexModel checkpoint() const;
 
  private:
-  /// The bounded delta log and its cursor, behind their own lock (the
-  /// store has its own writer discipline).
-  struct Feed {
-    Feed() = default;
-    /// Copies under the source's lock (a cloned single-owner model).
-    Feed(const Feed& other) S3_EXCLUDES(other.mu);
-
-    mutable util::Mutex mu;
-    std::vector<ThetaDelta> records S3_GUARDED_BY(mu);
-    /// Cursor of records[0]; earlier records were truncated away.
-    std::uint64_t base S3_GUARDED_BY(mu) = 0;
+  /// Copyable so a cloned single-owner model keeps its count.
+  struct WriteCount {
+    WriteCount() = default;
+    WriteCount(const WriteCount& other)
+        : n(other.n.load(std::memory_order_relaxed)) {}
+    std::atomic<std::uint64_t> n{0};
   };
 
   /// The base model's type of `u`; 0 when it has no types.
@@ -107,14 +108,13 @@ class LiveSocialModel final : public ThetaProvider {
   double live_theta(std::size_t type_u, UserId v,
                     const PairStore::Stats& live) const;
 
-  /// Bumps one live pair counter through `fn` and records the pair's
-  /// new θ in the feed.
+  /// Bumps one live pair counter through `fn`.
   template <typename Fn>
-  void bump(UserId u, UserId v, Fn&& fn) S3_EXCLUDES(feed_.mu);
+  void bump(UserId u, UserId v, Fn&& fn);
 
   const SocialIndexModel* base_;
   Store live_;
-  Feed feed_;
+  WriteCount writes_;
 };
 
 extern template class LiveSocialModel<PairStore>;

@@ -80,10 +80,8 @@ class ThetaProvider {
   /// prove all of those reads came from one unchanged snapshot; a
   /// moved epoch means live counters advanced mid-run (each individual
   /// read remains per-pair consistent regardless). Immutable providers
-  /// return 0 forever — the default.
-  ///
-  /// Prefer poll_theta_deltas() for cache invalidation: the feed says
-  /// *which* pairs moved, the epoch only that *something* did.
+  /// return 0 forever — the default. LiveSocialModel counts its live
+  /// counter writes.
   virtual std::uint64_t read_epoch() const noexcept { return 0; }
 
   /// True when this provider records a structured ThetaDelta feed —

@@ -9,9 +9,11 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <map>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -115,8 +117,8 @@ TEST(ServePipeline, RejectsUnknownUserUnderSocialPolicy) {
 // policy so AP choice is deterministic and model-independent; every
 // committed (session, user, ap, t) event is mirrored into a
 // PresenceTable feeding a LiveSocialModel<PairStore>, then θ is
-// compared bit for bit over all pairs, and the two feeds record for
-// record.
+// compared bit for bit over all pairs, and the two live-pair visitors
+// entry for entry.
 TEST(LiveSocialModel, BitIdenticalAcrossStoresOnSameEvents) {
   const World& w = world();
   ServeConfig cfg;
@@ -191,42 +193,27 @@ TEST(LiveSocialModel, BitIdenticalAcrossStoresOnSameEvents) {
   EXPECT_GT(shared.read_epoch(), 0U);
   EXPECT_EQ(shared.read_epoch(), online.read_epoch());
 
-  // The structured feed replays the same history: draining it from
-  // cursor 0 and keeping each pair's last record reproduces the
-  // store's current θ exactly (the ThetaDelta invalidation contract).
-  EXPECT_TRUE(shared.emits_theta_deltas());
-  std::vector<social::ThetaDelta> deltas;
-  const social::ThetaDeltaPoll poll = shared.poll_theta_deltas(0, deltas);
-  ASSERT_TRUE(poll.complete);
-  EXPECT_EQ(poll.cursor, deltas.size());
-  EXPECT_FALSE(deltas.empty());
-  std::map<UserPair, double> last;
-  for (const social::ThetaDelta& d : deltas) last[d.pair] = d.theta;
-  EXPECT_EQ(last.size(), shared.updated_pairs());
-  for (const auto& [pair, theta] : last) {
+  // Both live-pair visitors yield the same (pair, θ) sequence, one entry
+  // per updated pair, each θ equal to the scalar read.
+  std::vector<std::pair<UserPair, double>> shared_live;
+  shared.for_each_live_theta([&](UserPair pair, double theta) {
+    shared_live.emplace_back(pair, theta);
+  });
+  std::vector<std::pair<UserPair, double>> online_live;
+  online.for_each_live_theta([&](UserPair pair, double theta) {
+    online_live.emplace_back(pair, theta);
+  });
+  EXPECT_EQ(shared_live.size(), shared.updated_pairs());
+  EXPECT_EQ(shared_live, online_live);
+  for (const auto& [pair, theta] : shared_live) {
     EXPECT_EQ(theta, shared.theta(pair.a, pair.b))
-        << "stale feed tail for (" << pair.a << ", " << pair.b << ")";
+        << "live θ mismatch for (" << pair.a << ", " << pair.b << ")";
   }
-  // The single-owner store's feed carries the same records.
-  std::vector<social::ThetaDelta> online_deltas;
-  ASSERT_TRUE(online.poll_theta_deltas(0, online_deltas).complete);
-  ASSERT_EQ(online_deltas.size(), deltas.size());
-  for (std::size_t i = 0; i < deltas.size(); ++i) {
-    EXPECT_EQ(online_deltas[i].pair, deltas[i].pair) << "record " << i;
-    EXPECT_EQ(online_deltas[i].theta, deltas[i].theta) << "record " << i;
-    EXPECT_EQ(online_deltas[i].epoch, deltas[i].epoch) << "record " << i;
-  }
-  // A second poll from the returned cursor is an exact empty suffix.
-  deltas.clear();
-  const social::ThetaDeltaPoll again =
-      shared.poll_theta_deltas(poll.cursor, deltas);
-  EXPECT_TRUE(again.complete);
-  EXPECT_TRUE(deltas.empty());
 }
 
-// The pipeline-level maintainer consumes the shared model's ThetaDelta
-// feed: the first snapshot seeds, later ones apply only the deltas live
-// events produced, and the cover always partitions the population.
+// The pipeline-level maintainer follows the shared model: the first
+// snapshot seeds, later ones re-apply the live pairs without reseeding,
+// and the cover always partitions the population.
 TEST(ServePipeline, SocialSnapshotTracksLiveEventsIncrementally) {
   const World& w = world();
   ServeConfig cfg;
@@ -245,7 +232,7 @@ TEST(ServePipeline, SocialSnapshotTracksLiveEventsIncrementally) {
   }
 
   // Long co-located stays then a joint departure: encounters and
-  // co-leavings stream through the shared store's delta feed.
+  // co-leavings land in the shared store's live pairs.
   std::uint64_t id = 1;
   for (UserId u = 0; u < 24; ++u) {
     ASSERT_TRUE(p.place(request(id++, u, 0, 0)).placed);
@@ -256,20 +243,17 @@ TEST(ServePipeline, SocialSnapshotTracksLiveEventsIncrementally) {
   EXPECT_GT(p.model().updated_pairs(), 0U);
 
   const SocialSnapshot second = p.social_snapshot();
-  EXPECT_TRUE(second.incremental);  // served from the feed, no reseed
+  EXPECT_TRUE(second.incremental);  // live pairs applied, no reseed
   EXPECT_EQ(second.reseeds, 1U);
   EXPECT_GT(second.deltas_applied, 0U);
   EXPECT_GE(second.cohesion, 0.0);
   EXPECT_GE(second.cover_version, first.cover_version);
 
-  // Re-querying with no new events reuses every component and every
-  // cached clique score.
+  // Re-querying with no new events reuses every component.
   const SocialSnapshot third = p.social_snapshot();
   EXPECT_TRUE(third.incremental);
   EXPECT_EQ(third.cover_version, second.cover_version);
   EXPECT_EQ(third.components_solved, second.components_solved);
-  EXPECT_GE(third.scores_reused, second.scores_reused);
-  EXPECT_EQ(third.scores_recomputed, second.scores_recomputed);
 }
 
 // Cohesion counts exactly the θ mass of clique pairs sharing an AP:
@@ -294,7 +278,6 @@ TEST(ServePipeline, SocialSnapshotCohesionReflectsCoLocatedCliques) {
     EXPECT_GT(snap.cohesion, 0.0)
         << "multi-member cliques exist but no co-located pair scored";
   }
-  EXPECT_GT(snap.scores_recomputed, 0U);
 }
 
 /// What social_snapshot() must report, computed without the pipeline's
@@ -555,6 +538,43 @@ TEST(LineProtocol, EndToEndScript) {
   EXPECT_NE(text.find(" cohesion=0.000000 "), std::string::npos);
   EXPECT_NE(text.find(" incremental=0 "), std::string::npos);
   EXPECT_NE(text.find(" reseeds=1"), std::string::npos);
+}
+
+// The reject reason is the one place() reports for this request, not
+// whatever another client of the same pipeline caused meanwhile: a
+// second thread keeps re-placing an active id while the protocol
+// streams arrivals for an unknown user.
+TEST(LineProtocol, RejectionReasonIgnoresOtherClients) {
+  ServePipeline p(&world().gen.network, &world().model, {});
+  ASSERT_TRUE(p.place(request(1, 0, 0, 0)).placed);
+  std::atomic<bool> stop{false};
+  std::thread rival([&] {
+    while (!stop.load()) p.place(request(1, 1, 0, 10));
+  });
+  while (p.stats().rejected_duplicate_id == 0) std::this_thread::yield();
+
+  constexpr int kArrivals = 2000;
+  const UserId unknown = static_cast<UserId>(world().model.num_users() + 5);
+  std::ostringstream script;
+  for (int i = 0; i < kArrivals; ++i) {
+    script << "arrive " << 100 + i << ' ' << unknown << " 0 5 5 20 1.0\n";
+  }
+  std::istringstream in(script.str());
+  std::ostringstream out;
+  EXPECT_TRUE(run_line_protocol(p, in, out));
+  stop.store(true);
+  rival.join();
+
+  std::istringstream replies(out.str());
+  std::string line;
+  int answered = 0;
+  while (std::getline(replies, line)) {
+    EXPECT_EQ(line, "place " + std::to_string(100 + answered) +
+                        " reject unknown-user");
+    ++answered;
+  }
+  EXPECT_EQ(answered, kArrivals);
+  EXPECT_GT(p.stats().rejected_duplicate_id, 0U);
 }
 
 TEST(LineProtocol, MalformedLinesReportErrorsButContinue) {

@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <tuple>
 #include <vector>
 
 #include "s3/check/validators.h"
@@ -146,7 +145,32 @@ TEST(CliqueMaintainer, CleanComponentsAreServedFromCache) {
   EXPECT_EQ(m.stats().components_reused - reused_before, 2u);
 }
 
-// --- ThetaDelta sync paths ------------------------------------------
+// --- sync against a live model -------------------------------------
+
+using Edge = std::tuple<UserId, UserId, double>;
+
+/// The maintainer's edges, each once as (u, v, θ) with u < v, in
+/// ascending (u, v) order.
+std::vector<Edge> mirrored_edges(const CliqueMaintainer& m) {
+  std::vector<Edge> out;
+  for (UserId u = 0; u < m.num_users(); ++u) {
+    for (const CliqueMaintainer::Neighbor& nb : m.neighbors(u)) {
+      if (nb.id > u) out.emplace_back(u, nb.id, nb.weight);
+    }
+  }
+  return out;
+}
+
+/// The provider's strict-threshold edges by the full θ sweep, in the
+/// same order.
+std::vector<Edge> swept_edges(const ThetaProvider& model) {
+  std::vector<Edge> out;
+  for_each_theta_edge(model, 0.3, /*strict=*/true,
+                      [&out](UserId u, UserId v, double theta) {
+                        out.emplace_back(u, v, theta);
+                      });
+  return out;
+}
 
 TEST(CliqueMaintainer, SyncAgainstFrozenModelSeedsOnceThenIdles) {
   trace::GeneratorConfig gc;
@@ -159,27 +183,26 @@ TEST(CliqueMaintainer, SyncAgainstFrozenModelSeedsOnceThenIdles) {
   core::EvaluationConfig eval;
   eval.train_days = 2;
   eval.test_days = 1;
-  const SocialIndexModel model =
+  const SocialIndexModel base =
       core::train_from_workload(world.network, world.workload, eval);
+  const LiveSocialModel<PairStore> model(&base);
 
   CliqueMaintainer m;
-  EXPECT_FALSE(m.sync(model));  // first contact: reseed
+  EXPECT_FALSE(m.sync(model));  // first contact: seed from the base
   EXPECT_EQ(m.stats().reseeds, 1u);
   EXPECT_EQ(m.num_users(), model.num_users());
-  EXPECT_TRUE(m.sync(model));  // frozen feed: complete and empty
+  EXPECT_EQ(mirrored_edges(m), swept_edges(model));
+  EXPECT_TRUE(m.sync(model));  // no live pairs: nothing to apply
   EXPECT_EQ(m.stats().reseeds, 1u);
+  EXPECT_EQ(m.stats().deltas_applied, 0u);
+  EXPECT_EQ(mirrored_edges(m), swept_edges(model));
 
   // The mirrored edge set obeys the strict threshold rule bit for bit.
-  std::size_t edges_seen = 0;
-  for (UserId u = 0; u < m.num_users(); ++u) {
-    for (const CliqueMaintainer::Neighbor& nb : m.neighbors(u)) {
-      if (nb.id < u) continue;
-      ++edges_seen;
-      EXPECT_EQ(nb.weight, model.theta(u, nb.id));
-      EXPECT_GT(nb.weight, m.config().theta_threshold);
-    }
+  EXPECT_GT(m.num_edges(), 0u);
+  for (const auto& [u, v, weight] : mirrored_edges(m)) {
+    EXPECT_EQ(weight, model.theta(u, v));
+    EXPECT_GT(weight, m.config().theta_threshold);
   }
-  EXPECT_EQ(edges_seen, m.num_edges());
   expect_bitwise_equal(m.cover(), m.solve_from_scratch());
 }
 
@@ -202,10 +225,11 @@ TEST(CliqueMaintainer, SyncFollowsOnlineModelDeltas) {
                          util::SimTime::from_minutes(10));
   CliqueMaintainer m;
   EXPECT_FALSE(m.sync(online));
+  EXPECT_EQ(mirrored_edges(m), swept_edges(online));
 
   // Replay the test window's sessions as live events; sync after each
-  // burst must follow the feed without reseeding, and the maintained
-  // structure must stay bit-identical to a from-scratch solve.
+  // burst must follow the live pairs without reseeding, and the
+  // maintained structure must match a from-scratch sweep and solve.
   std::size_t replayed = 0;
   for (std::size_t i = 0; i < world.workload.size() && replayed < 400; ++i) {
     const trace::SessionRecord& s = world.workload.session(i);
@@ -214,117 +238,15 @@ TEST(CliqueMaintainer, SyncFollowsOnlineModelDeltas) {
     ++replayed;
     if (replayed % 97 == 0) {
       EXPECT_TRUE(m.sync(online));
+      EXPECT_EQ(mirrored_edges(m), swept_edges(online));
       expect_bitwise_equal(m.cover(), m.solve_from_scratch());
     }
   }
   EXPECT_TRUE(m.sync(online));
   EXPECT_EQ(m.stats().reseeds, 1u);
+  EXPECT_GT(online.updated_pairs(), 0u);
+  EXPECT_EQ(mirrored_edges(m), swept_edges(online));
   expect_bitwise_equal(m.cover(), m.solve_from_scratch());
-
-  // Spot-check the mirror against the provider's current θ.
-  for (UserId u = 0; u < m.num_users(); ++u) {
-    for (const CliqueMaintainer::Neighbor& nb : m.neighbors(u)) {
-      if (nb.id > u) {
-        EXPECT_EQ(nb.weight, online.theta(u, nb.id));
-      }
-    }
-  }
-}
-
-/// A provider whose feed can be truncated under the consumer, per the
-/// ThetaDelta retention contract.
-class TruncatingProvider : public ThetaProvider {
- public:
-  explicit TruncatingProvider(std::size_t n) : n_(n) {}
-
-  double theta(UserId u, UserId v) const override {
-    const auto it = thetas_.find(UserPair(u, v));
-    return it == thetas_.end() ? 0.0 : it->second;
-  }
-  std::size_t num_users() const override { return n_; }
-  std::uint64_t read_epoch() const noexcept override { return epoch_; }
-  bool emits_theta_deltas() const noexcept override { return true; }
-  ThetaDeltaPoll poll_theta_deltas(
-      std::uint64_t cursor, std::vector<ThetaDelta>& out) const override {
-    const std::uint64_t end = base_ + feed_.size();
-    if (cursor < base_ || cursor > end) return ThetaDeltaPoll{end, false};
-    out.insert(out.end(),
-               feed_.begin() + static_cast<std::ptrdiff_t>(cursor - base_),
-               feed_.end());
-    return ThetaDeltaPoll{end, true};
-  }
-
-  void set(UserId u, UserId v, double theta) {
-    thetas_[UserPair(u, v)] = theta;
-    feed_.push_back(ThetaDelta{UserPair(u, v), theta, ++epoch_});
-  }
-  void truncate_log() {
-    base_ += feed_.size();
-    feed_.clear();
-  }
-
- private:
-  std::size_t n_;
-  std::map<UserPair, double> thetas_;
-  std::vector<ThetaDelta> feed_;
-  std::uint64_t base_ = 0;
-  std::uint64_t epoch_ = 0;
-};
-
-TEST(CliqueMaintainer, IncompletePollForcesReseed) {
-  TruncatingProvider p(6);
-  p.set(0, 1, 0.9);
-  CliqueMaintainer m;
-  EXPECT_FALSE(m.sync(p));
-  EXPECT_TRUE(m.has_edge(0, 1));
-
-  p.set(2, 3, 0.8);
-  EXPECT_TRUE(m.sync(p));  // normal incremental drain
-  EXPECT_TRUE(m.has_edge(2, 3));
-
-  // Records lost behind the consumer's cursor: the poll is incomplete
-  // and the maintainer must rebuild rather than trust its mirror.
-  p.set(4, 5, 0.7);
-  p.set(0, 1, 0.0);
-  p.truncate_log();
-  EXPECT_FALSE(m.sync(p));
-  EXPECT_EQ(m.stats().reseeds, 2u);
-  EXPECT_FALSE(m.has_edge(0, 1));
-  EXPECT_TRUE(m.has_edge(4, 5));
-  expect_bitwise_equal(m.cover(), m.solve_from_scratch());
-}
-
-// --- CliqueScoreCache -----------------------------------------------
-
-TEST(CliqueScoreCache, InvalidatesPerUserAndPerVersion) {
-  CliqueMaintainer m(5);
-  m.set_theta(0, 1, 0.9);
-  m.set_theta(3, 4, 0.8);
-  CliqueScoreCache cache;
-  cache.bind(m.cover(), m.cover_version());
-  const auto score_all = [&] {
-    double total = 0.0;
-    for (std::size_t i = 0; i < m.cover().cliques.size(); ++i) {
-      total += cache.score(i, [](std::size_t) { return 1.0; });
-    }
-    return total;
-  };
-  score_all();
-  const std::uint64_t computed_cold = cache.recomputed();
-  score_all();
-  EXPECT_EQ(cache.recomputed(), computed_cold);  // all hits
-  EXPECT_GT(cache.reused(), 0u);
-
-  // One user invalidated -> exactly one clique recomputed.
-  cache.invalidate_user(0);
-  score_all();
-  EXPECT_EQ(cache.recomputed(), computed_cold + 1);
-
-  // A structural change bumps the version; rebinding drops everything.
-  m.set_theta(1, 2, 0.7);
-  cache.bind(m.cover(), m.cover_version());
-  score_all();
-  EXPECT_EQ(cache.recomputed(), computed_cold + 1 + m.cover().cliques.size());
 }
 
 }  // namespace
