@@ -18,7 +18,8 @@
 // threads. Callers bring their own concurrency (the stdin driver is
 // sequential; bench_serve shards domains across workers). Calls for
 // the same domain serialize on the domain mutex; the shared social
-// store serializes only per hash bucket.
+// store serializes only per hash bucket and the session registry per
+// id shard. No process-wide lock sits on the place/depart path.
 //
 // The fault machinery is reused unchanged from replay: an optional
 // FaultInjector prunes dead APs from candidate sets, and
