@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
+#include "s3/core/baselines.h"
 #include "s3/core/evaluation.h"
 #include "s3/core/selector_factory.h"
 #include "s3/sim/replay.h"
@@ -115,6 +119,67 @@ TEST(ReplayDriver, EffectiveThreadsResolvesZeroToAtLeastOne) {
   EXPECT_GE(ReplayDriver(net, rc).effective_threads(), 1u);
   rc.threads = 3;
   EXPECT_EQ(ReplayDriver(net, rc).effective_threads(), 3u);
+}
+
+/// LLF that throws `message` on its `throw_at`-th placement (1-based).
+class ThrowingSelector final : public sim::ApSelector {
+ public:
+  ThrowingSelector(std::string message, std::size_t throw_at)
+      : message_(std::move(message)), throw_at_(throw_at) {}
+  std::string_view name() const override { return "throwing"; }
+  ApId select_one(const sim::Arrival& a,
+                  const sim::ApLoadTracker& loads) override {
+    if (++placed_ == throw_at_) throw std::runtime_error(message_);
+    return llf_.select_one(a, loads);
+  }
+
+ private:
+  std::string message_;
+  std::size_t throw_at_;
+  std::size_t placed_ = 0;
+  core::LlfSelector llf_;
+};
+
+/// Domain 2 fails at once, domain 1 only on its last placement, so a
+/// pool that keeps the first error to arrive reports domain 2 whenever
+/// both run concurrently.
+class TwoFailingDomainsFactory final : public sim::SelectorFactory {
+ public:
+  explicit TwoFailingDomainsFactory(std::size_t domain1_sessions)
+      : domain1_sessions_(domain1_sessions) {}
+  std::string_view name() const override { return "throwing"; }
+  std::unique_ptr<sim::ApSelector> create(ControllerId domain) const override {
+    if (domain == 1) {
+      return std::make_unique<ThrowingSelector>("domain 1", domain1_sessions_);
+    }
+    if (domain == 2) return std::make_unique<ThrowingSelector>("domain 2", 1);
+    return std::make_unique<core::LlfSelector>();
+  }
+
+ private:
+  std::size_t domain1_sessions_;
+};
+
+TEST(ReplayDriver, WorkerErrorIsTheLowestFailingDomainAtEveryThreadCount) {
+  const trace::GeneratedTrace& w = shared_world();
+  ASSERT_EQ(w.network.num_controllers(), 3u);
+  std::size_t domain1_sessions = 0;
+  for (const trace::SessionRecord& s : w.workload.sessions()) {
+    if (w.network.controller_of_building(s.building) == 1) ++domain1_sessions;
+  }
+  ASSERT_GT(domain1_sessions, 1u);
+  const TwoFailingDomainsFactory factory(domain1_sessions);
+  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+    ReplayDriverConfig rc;
+    rc.replay.dispatch_window_s = 0;
+    rc.threads = threads;
+    try {
+      (void)ReplayDriver(w.network, rc).run(w.workload, factory);
+      ADD_FAILURE() << "no error at threads " << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "domain 1") << "threads " << threads;
+    }
+  }
 }
 
 TEST(ReplayDriver, EmptyWorkload) {
