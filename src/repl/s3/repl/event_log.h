@@ -27,8 +27,8 @@
 //
 // Deliberately lock-free: a log belongs to one ReplicationGroup, whose
 // whole walk runs on a single worker thread; readers (the driver,
-// tests) only look after the join. Cross-domain observations that do
-// need concurrency go through FailoverLedger instead.
+// tests) only look after the join, which is also where the driver
+// gathers every domain's stats and failover events.
 #pragma once
 
 #include <cstdint>

@@ -1,18 +1,11 @@
 #include "s3/repl/replicated_driver.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <memory>
-#include <thread>
 
 #include "s3/check/contract.h"
 #include "s3/check/validators.h"
-#include "s3/repl/failover_ledger.h"
-#include "s3/runtime/error_collector.h"
 #include "s3/runtime/replay_driver.h"
-#include "s3/runtime/shard_stats_board.h"
-#include "s3/util/thread_annotations.h"
 
 namespace s3::repl {
 
@@ -29,9 +22,7 @@ ReplicatedReplayDriver::ReplicatedReplayDriver(const wlan::Network& net,
 }
 
 unsigned ReplicatedReplayDriver::effective_threads() const noexcept {
-  if (config_.threads > 0) return config_.threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  return runtime::resolve_threads(config_.threads);
 }
 
 ReplicatedReplayResult ReplicatedReplayDriver::run(
@@ -40,12 +31,8 @@ ReplicatedReplayResult ReplicatedReplayDriver::run(
     check::validate_trace(workload, net_);
   }
 
-  std::vector<std::vector<std::size_t>> shards(net_->num_controllers());
-  const auto sessions = workload.sessions();
-  for (std::size_t i = 0; i < sessions.size(); ++i) {
-    const ControllerId c = net_->controller_of_building(sessions[i].building);
-    shards[c].push_back(i);
-  }
+  std::vector<std::vector<std::size_t>> shards =
+      runtime::shard_sessions(*net_, workload);
 
   // One group per non-empty domain, in controller order so policy
   // construction never depends on thread schedule.
@@ -57,50 +44,20 @@ ReplicatedReplayResult ReplicatedReplayDriver::run(
         *config_.injector, config_.recovery, config_.repl));
   }
 
-  // Groups stream failover events into the ledger as they promote and
-  // post their acting primary's stats to the board as they finish; both
-  // hand back canonically ordered snapshots after the join, so the
-  // merge never depends on thread schedule.
-  FailoverLedger ledger;
-  runtime::ShardStatsBoard board;
-  for (auto& g : groups) g->set_failover_ledger(&ledger);
-
-  const unsigned workers = std::min<unsigned>(
-      effective_threads(), static_cast<unsigned>(groups.size()));
-  if (workers <= 1) {
-    for (auto& g : groups) {
-      g->run();
-      board.record(g->domain(), g->stats());
-    }
-  } else {
-    std::atomic<std::size_t> next{0};
-    runtime::ErrorCollector errors;
-    auto work = [&]() {
-      for (std::size_t i = next.fetch_add(1); i < groups.size();
-           i = next.fetch_add(1)) {
-        try {
-          groups[i]->run();
-          board.record(groups[i]->domain(), groups[i]->stats());
-        } catch (...) {
-          errors.capture(std::current_exception());
-        }
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
-    if (std::exception_ptr first = errors.take()) {
-      std::rethrow_exception(first);
-    }
-  }
+  runtime::run_domains(effective_threads(), groups.size(),
+                       [&](std::size_t i) { groups[i]->run(); });
 
   // Merge after the join, sequentially, in controller order: each group
   // publishes into its own disjoint assignment slots.
   std::vector<ApId> assignment(workload.size(), kInvalidAp);
+  std::vector<sim::ReplayStats> shard_stats;
+  shard_stats.reserve(groups.size());
   ReplicatedReplayResult out;
   for (const auto& g : groups) {
     g->publish_assignment(assignment);
+    shard_stats.push_back(g->stats());
+    const std::span<const FailoverEvent> events = g->failovers();
+    out.failovers.insert(out.failovers.end(), events.begin(), events.end());
     const ReplStats& rs = g->repl_stats();
     out.repl.replicas = std::max(out.repl.replicas, rs.replicas);
     out.repl.failovers += rs.failovers;
@@ -122,9 +79,15 @@ ReplicatedReplayResult ReplicatedReplayDriver::run(
     out.repl.max_catchup_records =
         std::max(out.repl.max_catchup_records, rs.max_catchup_records);
   }
-  out.failovers = ledger.events();
+  // Stable, so a group's events with equal keys keep their order.
+  std::stable_sort(out.failovers.begin(), out.failovers.end(),
+                   [](const FailoverEvent& a, const FailoverEvent& b) {
+                     if (a.when != b.when) return a.when < b.when;
+                     if (a.domain != b.domain) return a.domain < b.domain;
+                     return a.promoted_replica < b.promoted_replica;
+                   });
   out.result = sim::ReplayResult{workload.with_assignments(assignment),
-                                 runtime::merge_stats(board.in_domain_order())};
+                                 runtime::merge_stats(shard_stats)};
   return out;
 }
 

@@ -1,7 +1,8 @@
 // Sharded replay driver with replicated controllers.
 //
 // Same decomposition as runtime::ReplayDriver — one controller domain
-// per thread-pool task — but each domain is a ReplicationGroup (one
+// per task on the shared domain pool (runtime::run_domains) — but each
+// domain is a ReplicationGroup (one
 // primary + N backup engines) instead of a bare engine, so the replay
 // survives the injector's controller-outage windows: with backups the
 // run is lossless (bit-identical to an outage-free run), without them
@@ -33,7 +34,8 @@ struct ReplicatedReplayResult {
   /// Replication accounting merged across domains (replicas/final_term
   /// take the max, everything else sums).
   ReplStats repl;
-  /// Every promotion and headless restart, sorted by (time, domain).
+  /// Every domain's failover events, stable-sorted by (when, domain,
+  /// promoted replica).
   std::vector<FailoverEvent> failovers;
 };
 
@@ -44,7 +46,7 @@ class ReplicatedReplayDriver {
                                   ReplicatedDriverConfig config);
 
   /// Replicated sharded replay: one ReplicationGroup per non-empty
-  /// domain, built in controller order, run on the thread pool.
+  /// domain, built in controller order, run on the domain pool.
   ReplicatedReplayResult run(const trace::Trace& workload,
                              const sim::SelectorFactory& factory) const;
 

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "s3/check/validators.h"
-#include "s3/repl/failover_ledger.h"
 #include "s3/util/error.h"
 #include "s3/util/metrics.h"
 #include "s3/util/rng.h"
@@ -45,6 +44,18 @@ const ReplMetrics& repl_metrics() {
 }
 
 constexpr std::size_t kNoExclude = std::numeric_limits<std::size_t>::max();
+
+/// The audit record a takeover of `kind` appends to the log.
+RecordKind takeover_record(FailoverKind kind) {
+  switch (kind) {
+    case FailoverKind::kAdoption:
+      return RecordKind::kAdoption;
+    case FailoverKind::kHandback:
+      return RecordKind::kHandback;
+    default:
+      return RecordKind::kPromotion;
+  }
+}
 
 }  // namespace
 
@@ -386,15 +397,13 @@ void ReplicationGroup::run_headless(const util::TimeInterval& window) {
   ev.when = window.begin;
   ev.promoted_replica = primary_index_;
   ev.new_term = r.term;
-  ev.headless = true;
   ev.kind = FailoverKind::kHeadless;
-  record_failover(ev);
+  failovers_.push_back(ev);
 }
 
 void ReplicationGroup::handle_outage(const util::TimeInterval& window) {
-  Replica& dead = primary();
   append_primary(RecordKind::kCrash, window.begin,
-                 dead.engine->apply_step(StepKind::kNone));
+                 primary().engine->apply_step(StepKind::kNone));
 
   bool has_backup = false;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
@@ -405,51 +414,53 @@ void ReplicationGroup::handle_outage(const util::TimeInterval& window) {
     return;
   }
 
-  fault::ReplicaSnapshot dead_snap = dead.engine->snapshot();
-  dead_snap.term = dead.term;
-  dead_snap.applied_records = dead.applied;
-  dead.alive = false;
+  const fault::ReplicaSnapshot crashed = snapshot();
+  primary().alive = false;
   pending_restarts_.push_back({primary_index_, window.end});
+  take_over(elect(kNoExclude), crashed, window.begin, FailoverKind::kPromotion,
+            now_ns());
+  ++repl_stats_.failovers;
+}
 
-  const std::size_t winner = elect(kNoExclude);
+FailoverEvent& ReplicationGroup::take_over(
+    std::size_t successor, const fault::ReplicaSnapshot& reference,
+    util::SimTime when, FailoverKind kind, std::uint64_t t0) {
+  Replica& s = replicas_[successor];
   const std::uint64_t installs_before = repl_stats_.snapshot_installs;
-  const std::uint64_t t0 = now_ns();
-  std::uint64_t replayed = catch_up(replicas_[winner]);
-  if (replicas_[winner].needs_resync) {
-    // A corrupted record sits between the winner and the log head. The
-    // crashed primary's engine still holds the authoritative state —
-    // freeze it as the resync snapshot before it goes dark. (primary()
-    // still points at the crashed replica here.)
-    append_snapshot(window.begin);
-    replayed += catch_up(replicas_[winner]);
+  std::uint64_t replayed = catch_up(s);
+  if (s.needs_resync) {
+    // A corrupted record sits between the successor and the log head.
+    // primary() still points at the outgoing controller, whose engine
+    // holds the authoritative state: freeze it as the resync snapshot.
+    append_snapshot(when);
+    replayed += catch_up(s);
   }
   const std::uint64_t ns = now_ns() - t0;
-  replicas_[winner].term = max_term() + 1;
-  primary_index_ = winner;
+  s.term = max_term() + 1;
+  primary_index_ = successor;
 
-  // The promotion gate: the backup must now be carrying exactly the
-  // state the primary died with — placements, social counters,
-  // degradation machine, stats, everything.
-  fault::ReplicaSnapshot promoted = snapshot();
+  // The takeover gate: the successor must now carry exactly the state
+  // it takes over — placements, social counters, degradation machine,
+  // stats, everything.
+  const fault::ReplicaSnapshot taken = snapshot();
   const check::CheckReport report =
-      check::validate_replica_convergence(dead_snap, promoted);
+      check::validate_replica_convergence(reference, taken);
   S3_ASSERT(report.ok(),
-            "ReplicationGroup: promoted backup diverged from crashed primary");
+            "ReplicationGroup: successor diverged from the state it took over");
 
-  append_primary(RecordKind::kPromotion, window.begin, promoted.digest());
-  ++repl_stats_.failovers;
+  append_primary(takeover_record(kind), when, taken.digest());
   account_catchup(replayed, ns);
-  FailoverEvent ev;
+  FailoverEvent& ev = failovers_.emplace_back();
   ev.domain = domain_;
-  ev.when = window.begin;
-  ev.promoted_replica = winner;
-  ev.new_term = replicas_[winner].term;
+  ev.when = when;
+  ev.promoted_replica = successor;
+  ev.new_term = s.term;
   ev.records_replayed = replayed;
   ev.catchup_wall_ns = ns;
   ev.converged = report.ok();
-  ev.kind = FailoverKind::kPromotion;
+  ev.kind = kind;
   ev.snapshot_install = repl_stats_.snapshot_installs > installs_before;
-  record_failover(ev);
+  return ev;
 }
 
 ControllerId ReplicationGroup::choose_adopter(util::SimTime at) const {
@@ -464,9 +475,6 @@ ControllerId ReplicationGroup::choose_adopter(util::SimTime at) const {
 void ReplicationGroup::handle_loss(const util::TimeInterval& window) {
   append_primary(RecordKind::kCrash, window.begin,
                  primary().engine->apply_step(StepKind::kNone));
-  fault::ReplicaSnapshot dead_snap = primary().engine->snapshot();
-  dead_snap.term = primary().term;
-  dead_snap.applied_records = primary().applied;
 
   const ControllerId adopter = choose_adopter(window.begin);
   if (adopter == kInvalidController) {
@@ -483,6 +491,7 @@ void ReplicationGroup::handle_loss(const util::TimeInterval& window) {
   }
 
   // The whole replica set is gone at once.
+  const fault::ReplicaSnapshot lost = snapshot();
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     if (!replicas_[i].alive) continue;
     replicas_[i].alive = false;
@@ -491,7 +500,8 @@ void ReplicationGroup::handle_loss(const util::TimeInterval& window) {
 
   // The adopter seeds from the last replicated snapshot — all it ever
   // received from this domain — or, before the first snapshot, rebuilds
-  // from the full log the way a day-zero replica would.
+  // from the full log the way a day-zero replica would. Building it is
+  // part of the catch-up bill.
   const SnapshotEntry* seed = log_.latest_snapshot();
   const std::uint64_t t0 = now_ns();
   Replica a;
@@ -510,45 +520,16 @@ void ReplicationGroup::handle_loss(const util::TimeInterval& window) {
         std::span<ApId>(a.assignment), injector_, recovery_);
   }
   replicas_.push_back(std::move(a));
-  const std::size_t adopter_index = replicas_.size() - 1;
-  std::uint64_t replayed = catch_up(replicas_[adopter_index]);
-  if (replicas_[adopter_index].needs_resync) {
-    // Same rescue as a promotion across a corrupted record: the lost
-    // primary's engine is still authoritative; freeze it before dark.
-    append_snapshot(window.begin);
-    replayed += catch_up(replicas_[adopter_index]);
-  }
-  const std::uint64_t ns = now_ns() - t0;
-  replicas_[adopter_index].term = max_term() + 1;
-  primary_index_ = adopter_index;
   adopter_active_ = true;
   adopter_controller_ = adopter;
   handback_at_ = window.end;
 
-  // Adoption gate: the neighbor controller must be carrying exactly the
-  // state the lost primary died with.
-  fault::ReplicaSnapshot adopted = snapshot();
-  const check::CheckReport report =
-      check::validate_replica_convergence(dead_snap, adopted);
-  S3_ASSERT(report.ok(),
-            "ReplicationGroup: adopter diverged from the lost primary");
-
-  append_primary(RecordKind::kAdoption, window.begin, adopted.digest());
-  ++repl_stats_.adoptions;
-  repl_metrics().adoptions->add(1);
-  account_catchup(replayed, ns);
-  FailoverEvent ev;
-  ev.domain = domain_;
-  ev.when = window.begin;
-  ev.promoted_replica = adopter_index;
-  ev.new_term = replicas_[adopter_index].term;
-  ev.records_replayed = replayed;
-  ev.catchup_wall_ns = ns;
-  ev.converged = report.ok();
-  ev.kind = FailoverKind::kAdoption;
+  FailoverEvent& ev = take_over(replicas_.size() - 1, lost, window.begin,
+                                FailoverKind::kAdoption, t0);
   ev.adopter = adopter;
   ev.snapshot_install = seed != nullptr;
-  record_failover(ev);
+  ++repl_stats_.adoptions;
+  repl_metrics().adoptions->add(1);
 }
 
 void ReplicationGroup::handle_handback() {
@@ -560,57 +541,17 @@ void ReplicationGroup::handle_handback() {
   }
   if (!any_original_alive) return;
 
-  const std::size_t winner = elect(adopter_index);
-  const std::uint64_t installs_before = repl_stats_.snapshot_installs;
-  const std::uint64_t t0 = now_ns();
-  std::uint64_t replayed = catch_up(replicas_[winner]);
-  if (replicas_[winner].needs_resync) {
-    // primary() is still the adopter here; freeze its state so the
-    // revived original can resync past the rejected record.
-    append_snapshot(handback_at_);
-    replayed += catch_up(replicas_[winner]);
-  }
-  const std::uint64_t ns = now_ns() - t0;
-  replicas_[winner].term = max_term() + 1;
-
-  fault::ReplicaSnapshot adopter_snap = replicas_[adopter_index].engine->snapshot();
-  adopter_snap.term = replicas_[adopter_index].term;
-  adopter_snap.applied_records = replicas_[adopter_index].applied;
-  fault::ReplicaSnapshot winner_snap = replicas_[winner].engine->snapshot();
-  winner_snap.term = replicas_[winner].term;
-  winner_snap.applied_records = replicas_[winner].applied;
-  const check::CheckReport report =
-      check::validate_replica_convergence(adopter_snap, winner_snap);
-  S3_ASSERT(report.ok(),
-            "ReplicationGroup: revived original diverged from the adopter");
-
-  primary_index_ = winner;
-  append_primary(RecordKind::kHandback, handback_at_, winner_snap.digest());
+  FailoverEvent& ev =
+      take_over(elect(adopter_index), snapshot_of(replicas_[adopter_index]),
+                handback_at_, FailoverKind::kHandback, now_ns());
+  ev.adopter = adopter_controller_;
   ++repl_stats_.handbacks;
   repl_metrics().handbacks->add(1);
-  account_catchup(replayed, ns);
-  FailoverEvent ev;
-  ev.domain = domain_;
-  ev.when = handback_at_;
-  ev.promoted_replica = winner;
-  ev.new_term = replicas_[winner].term;
-  ev.records_replayed = replayed;
-  ev.catchup_wall_ns = ns;
-  ev.converged = report.ok();
-  ev.kind = FailoverKind::kHandback;
-  ev.adopter = adopter_controller_;
-  ev.snapshot_install = repl_stats_.snapshot_installs > installs_before;
-  record_failover(ev);
 
   // Retire the transient adopter replica.
   replicas_.pop_back();
   adopter_active_ = false;
   adopter_controller_ = kInvalidController;
-}
-
-void ReplicationGroup::record_failover(const FailoverEvent& ev) {
-  failovers_.push_back(ev);
-  if (ledger_ != nullptr) ledger_->record(ev);
 }
 
 void ReplicationGroup::run() {
@@ -676,11 +617,8 @@ void ReplicationGroup::run() {
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     if (i == primary_index_) continue;
     catch_up(replicas_[i]);
-    fault::ReplicaSnapshot backup_snap = replicas_[i].engine->snapshot();
-    backup_snap.term = replicas_[i].term;
-    backup_snap.applied_records = replicas_[i].applied;
-    const check::CheckReport report =
-        check::validate_replica_convergence(final_snap, backup_snap);
+    const check::CheckReport report = check::validate_replica_convergence(
+        final_snap, snapshot_of(replicas_[i]));
     S3_ASSERT(report.ok(),
               "ReplicationGroup: backup diverged from primary at end of run");
   }
@@ -705,11 +643,15 @@ void ReplicationGroup::publish_assignment(std::span<ApId> global) const {
   for (const std::size_t s : sessions_) global[s] = p.assignment[s];
 }
 
-fault::ReplicaSnapshot ReplicationGroup::snapshot() const {
-  fault::ReplicaSnapshot snap = primary().engine->snapshot();
-  snap.term = primary().term;
-  snap.applied_records = primary().applied;
+fault::ReplicaSnapshot ReplicationGroup::snapshot_of(const Replica& r) {
+  fault::ReplicaSnapshot snap = r.engine->snapshot();
+  snap.term = r.term;
+  snap.applied_records = r.applied;
   return snap;
+}
+
+fault::ReplicaSnapshot ReplicationGroup::snapshot() const {
+  return snapshot_of(primary());
 }
 
 }  // namespace s3::repl

@@ -110,12 +110,10 @@ struct FailoverEvent {
   /// Wall-clock catch-up cost (measurement only; no decision reads it).
   std::uint64_t catchup_wall_ns = 0;
   /// Whether validate_replica_convergence found the promoted replica
-  /// bit-identical to the crashed primary. Always true for a correct
+  /// bit-identical to the state it took over (the crashed or lost
+  /// primary, or the adopter at a hand-back). Always true for a correct
   /// build; recorded so benches and tests can assert it.
   bool converged = true;
-  /// Headless restart (no backup existed) rather than a promotion.
-  /// Kept alongside `kind` for older callers; == (kind == kHeadless).
-  bool headless = false;
   FailoverKind kind = FailoverKind::kPromotion;
   /// Neighbor controller serving the domain (adoption/hand-back only).
   ControllerId adopter = kInvalidController;
@@ -148,8 +146,6 @@ struct ReplStats {
   /// however long the log grows; the torture harness asserts it.
   std::uint64_t max_catchup_records = 0;
 };
-
-class FailoverLedger;
 
 class ReplicationGroup {
  public:
@@ -184,14 +180,6 @@ class ReplicationGroup {
   std::span<const FailoverEvent> failovers() const noexcept {
     return failovers_;
   }
-
-  /// Streams every failover event into `ledger` (in addition to the
-  /// local failovers() list) as it happens, so a driver can observe
-  /// promotions across domains while groups are still running. Must be
-  /// set before run(); the ledger must outlive it.
-  void set_failover_ledger(FailoverLedger* ledger) noexcept {
-    ledger_ = ledger;
-  }
   const EventLog& log() const noexcept { return log_; }
 
   /// Acting primary's snapshot with term/applied filled in.
@@ -213,6 +201,9 @@ class ReplicationGroup {
 
   Replica& primary() noexcept { return replicas_[primary_index_]; }
   const Replica& primary() const noexcept { return replicas_[primary_index_]; }
+
+  /// `r`'s engine snapshot with its term and applied position.
+  static fault::ReplicaSnapshot snapshot_of(const Replica& r);
 
   std::uint64_t max_term() const noexcept;
   /// Deterministic election among alive replicas: highest term, then
@@ -255,6 +246,17 @@ class ReplicationGroup {
   ControllerId choose_adopter(util::SimTime at) const;
   /// Revived originals elect a leader and the adopter steps down.
   void handle_handback();
+  /// The takeover shared by promotion, adoption and hand-back: catches
+  /// `successor` up (when a rejected record blocks it, first cutting a
+  /// rescue snapshot from the outgoing primary, whose state is still
+  /// authoritative), bumps its term, makes it the acting primary,
+  /// asserts it converged on `reference` — the state it takes over —
+  /// appends the `kind` record at `when` and books the catch-up timed
+  /// from `t0`. Returns the recorded event, for the caller to complete.
+  FailoverEvent& take_over(std::size_t successor,
+                           const fault::ReplicaSnapshot& reference,
+                           util::SimTime when, FailoverKind kind,
+                           std::uint64_t t0);
   void run_headless(const util::TimeInterval& window);
   /// Revives a crashed replica once simulation time passed its window
   /// end; it catches up from the log and rejoins as a backup.
@@ -286,12 +288,8 @@ class ReplicationGroup {
     std::size_t replica;
     util::SimTime at;
   };
-  /// Appends to failovers_ and mirrors the event to ledger_ (if set).
-  void record_failover(const FailoverEvent& ev);
-
   std::vector<PendingRestart> pending_restarts_;
   std::vector<FailoverEvent> failovers_;
-  FailoverLedger* ledger_ = nullptr;
   ReplStats repl_stats_;
   bool finalized_ = false;
 };

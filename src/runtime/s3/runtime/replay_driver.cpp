@@ -1,5 +1,6 @@
 #include "s3/runtime/replay_driver.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <memory>
@@ -7,9 +8,6 @@
 
 #include "s3/check/contract.h"
 #include "s3/check/validators.h"
-#include "s3/runtime/error_collector.h"
-#include "s3/runtime/shard_stats_board.h"
-#include "s3/util/thread_annotations.h"
 
 namespace s3::runtime {
 
@@ -53,6 +51,54 @@ sim::ReplayStats merge_stats(std::span<const sim::ReplayStats> shards) {
   return merged;
 }
 
+std::vector<std::vector<std::size_t>> shard_sessions(
+    const wlan::Network& net, const trace::Trace& workload) {
+  std::vector<std::vector<std::size_t>> shards(net.num_controllers());
+  const auto sessions = workload.sessions();
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    shards[net.controller_of_building(sessions[i].building)].push_back(i);
+  }
+  return shards;
+}
+
+unsigned resolve_threads(unsigned threads) noexcept {
+  if (threads > 0) return threads;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
+}
+
+void run_domains(unsigned threads, std::size_t count,
+                 const std::function<void(std::size_t)>& task) {
+  const std::size_t workers =
+      std::min<std::size_t>(resolve_threads(threads), count);
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < count; ++i) task(i);
+    return;
+  }
+  std::vector<std::exception_ptr> errors(count);
+  {
+    std::atomic<std::size_t> next{0};
+    const auto work = [&]() {
+      for (std::size_t i = next.fetch_add(1); i < count;
+           i = next.fetch_add(1)) {
+        try {
+          task(i);
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      }
+    };
+    // jthread joins on destruction, including when a later thread
+    // fails to start.
+    std::vector<std::jthread> pool;
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(work);
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
+
 ReplayDriver::ReplayDriver(const wlan::Network& net, ReplayDriverConfig config)
     : net_(&net), config_(config) {
   S3_REQUIRE(config_.replay.dispatch_window_s >= 0,
@@ -60,20 +106,7 @@ ReplayDriver::ReplayDriver(const wlan::Network& net, ReplayDriverConfig config)
 }
 
 unsigned ReplayDriver::effective_threads() const noexcept {
-  if (config_.threads > 0) return config_.threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
-
-std::vector<std::vector<std::size_t>> ReplayDriver::shard_sessions(
-    const trace::Trace& workload) const {
-  std::vector<std::vector<std::size_t>> shards(net_->num_controllers());
-  const auto sessions = workload.sessions();
-  for (std::size_t i = 0; i < sessions.size(); ++i) {
-    const ControllerId c = net_->controller_of_building(sessions[i].building);
-    shards[c].push_back(i);
-  }
-  return shards;
+  return resolve_threads(config_.threads);
 }
 
 sim::ReplayResult ReplayDriver::run(const trace::Trace& workload,
@@ -87,7 +120,8 @@ sim::ReplayResult ReplayDriver::run(const trace::Trace& workload,
              "ReplayDriver: controller-outage/loss plans require the "
              "replicated driver (s3/repl/replicated_driver.h)");
   check_workload(*net_, workload);
-  std::vector<std::vector<std::size_t>> shards = shard_sessions(workload);
+  std::vector<std::vector<std::size_t>> shards =
+      shard_sessions(*net_, workload);
   std::vector<ApId> assignment(workload.size(), kInvalidAp);
 
   // One policy + engine per non-empty domain, in controller order so
@@ -105,42 +139,16 @@ sim::ReplayResult ReplayDriver::run(const trace::Trace& workload,
         config_.replay, assignment, config_.injector, config_.recovery));
   }
 
-  // Each worker posts its engine's stats to the board the moment that
-  // engine finishes; the board hands them back in controller order, so
-  // the merge below is identical for every thread count.
-  ShardStatsBoard board;
-  const unsigned workers = std::min<unsigned>(
-      effective_threads(), static_cast<unsigned>(engines.size()));
-  if (workers <= 1) {
-    for (auto& e : engines) {
-      e->run();
-      board.record(e->domain(), e->stats());
-    }
-  } else {
-    std::atomic<std::size_t> next{0};
-    ErrorCollector errors;
-    auto work = [&]() {
-      for (std::size_t i = next.fetch_add(1); i < engines.size();
-           i = next.fetch_add(1)) {
-        try {
-          engines[i]->run();
-          board.record(engines[i]->domain(), engines[i]->stats());
-        } catch (...) {
-          errors.capture(std::current_exception());
-        }
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
-    if (std::exception_ptr first = errors.take()) {
-      std::rethrow_exception(first);
-    }
-  }
+  run_domains(effective_threads(), engines.size(),
+              [&](std::size_t i) { engines[i]->run(); });
 
+  // Stats are read after the join, in controller order, so the merge
+  // is identical for every thread count.
+  std::vector<sim::ReplayStats> shard_stats;
+  shard_stats.reserve(engines.size());
+  for (const auto& e : engines) shard_stats.push_back(e->stats());
   return sim::ReplayResult{workload.with_assignments(assignment),
-                           merge_stats(board.in_domain_order())};
+                           merge_stats(shard_stats)};
 }
 
 sim::ReplayResult ReplayDriver::run_sequential(const trace::Trace& workload,
@@ -150,7 +158,8 @@ sim::ReplayResult ReplayDriver::run_sequential(const trace::Trace& workload,
   S3_REQUIRE(config_.injector == nullptr,
              "run_sequential: fault injection requires sharded run()");
   check_workload(*net_, workload);
-  std::vector<std::vector<std::size_t>> shards = shard_sessions(workload);
+  std::vector<std::vector<std::size_t>> shards =
+      shard_sessions(*net_, workload);
   std::vector<ApId> assignment(workload.size(), kInvalidAp);
 
   std::vector<std::unique_ptr<ControllerEngine>> engines;

@@ -1,7 +1,8 @@
 // Sharded replay driver.
 //
 // The driver decomposes a replay into one ControllerEngine per
-// controller domain and runs the engines on a thread pool. Because
+// controller domain and runs the engines on the domain pool
+// (run_domains, shared with repl::ReplicatedReplayDriver). Because
 // domains are independent (disjoint APs, disjoint arrivals, per-shard
 // policy instances from a SelectorFactory), the merged result —
 // assigned trace, statistics, instrumentation counters — is identical
@@ -18,6 +19,8 @@
 //                           that learn across domains and as the
 //                           differential-testing reference.
 #pragma once
+
+#include <functional>
 
 #include "s3/runtime/controller_engine.h"
 
@@ -44,6 +47,25 @@ struct ReplayDriverConfig {
 /// controller order). Guards the mean against num_batches == 0.
 sim::ReplayStats merge_stats(std::span<const sim::ReplayStats> shards);
 
+/// `workload`'s session indices grouped by controller domain: entry c
+/// holds domain c's sessions in trace order.
+std::vector<std::vector<std::size_t>> shard_sessions(
+    const wlan::Network& net, const trace::Trace& workload);
+
+/// Worker threads for a `threads` setting: 0 means
+/// hardware_concurrency(); the result is at least 1.
+unsigned resolve_threads(unsigned threads) noexcept;
+
+/// The domain pool both replay drivers run on: calls task(0) ..
+/// task(count - 1) on min(threads, count) workers, inline when that is
+/// one. Tasks must not share mutable state; callers read each task's
+/// results after this returns. Every task's exception lands in its own
+/// slot; after the join the lowest failing index's exception is
+/// rethrown, so the error a run reports is the same at every thread
+/// count.
+void run_domains(unsigned threads, std::size_t count,
+                 const std::function<void(std::size_t)>& task);
+
 class ReplayDriver {
  public:
   /// `net` must outlive the driver.
@@ -52,7 +74,7 @@ class ReplayDriver {
 
   /// Sharded replay of `workload`: partitions sessions by controller
   /// domain, builds one policy per non-empty domain via `factory`, and
-  /// runs the engines on the thread pool.
+  /// runs the engines on the domain pool.
   sim::ReplayResult run(const trace::Trace& workload,
                         const sim::SelectorFactory& factory) const;
 
@@ -68,9 +90,6 @@ class ReplayDriver {
   const ReplayDriverConfig& config() const noexcept { return config_; }
 
  private:
-  std::vector<std::vector<std::size_t>> shard_sessions(
-      const trace::Trace& workload) const;
-
   const wlan::Network* net_;
   ReplayDriverConfig config_;
 };

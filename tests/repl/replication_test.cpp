@@ -158,7 +158,7 @@ TEST(Replication, PromotionsConvergeAndPreserveTheSocialModel) {
   EXPECT_EQ(r.repl.failovers, r.repl.rejoins);
   for (const FailoverEvent& ev : r.failovers) {
     EXPECT_TRUE(ev.converged) << "domain " << ev.domain;
-    EXPECT_FALSE(ev.headless);
+    EXPECT_NE(ev.kind, FailoverKind::kHeadless);
     EXPECT_GE(ev.new_term, 2u);
   }
   EXPECT_EQ(r.result.stats.dropped_sessions, 0u);
@@ -192,7 +192,9 @@ TEST(Replication, HeadlessDomainsDropInWindowArrivals) {
   EXPECT_EQ(r.repl.failovers, 0u);
   EXPECT_GT(r.repl.headless_windows, 0u);
   EXPECT_GT(r.result.stats.dropped_sessions, 0u);
-  for (const FailoverEvent& ev : r.failovers) EXPECT_TRUE(ev.headless);
+  for (const FailoverEvent& ev : r.failovers) {
+    EXPECT_EQ(ev.kind, FailoverKind::kHeadless);
+  }
   // Headless runs stay deterministic too.
   const ReplicatedReplayResult again = run_replicated(f, injector, 0, 1);
   expect_identical(r.result, again.result);
