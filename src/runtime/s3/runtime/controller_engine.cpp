@@ -356,34 +356,24 @@ void ControllerEngine::flush() {
     }
   }
 
-  place_batch(batch_, now,
-              fault::begin_batch(injector_, now, policy_->uses_social_model(),
-                                 degradation_));
-  batch_.clear();
-  batch_deadline_ = kNever;
-}
-
-std::vector<ApId> ControllerEngine::place_batch(
-    std::span<const sim::Arrival> arrivals, util::SimTime now,
-    const sim::FaultControls& faults) {
-  if (arrivals.empty()) return {};
   const SimMetrics& m = sim_metrics();
-
   sim::BatchRequest request;
-  request.faults = faults;
+  request.faults = fault::begin_batch(
+      injector_, now, policy_->uses_social_model(), degradation_);
   sim::BatchResult dispatched;
   {
     util::ScopedTimer timing(m.dispatch);
-    request.arrivals = arrivals;
+    request.arrivals = batch_;
     dispatched = policy_->place_batch(request, tracker_);
   }
-  std::vector<ApId>& chosen = dispatched.placements;
-  S3_ASSERT(chosen.size() == arrivals.size(),
+  const std::vector<ApId>& chosen = dispatched.placements;
+  S3_ASSERT(chosen.size() == batch_.size(),
             "replay: policy returned wrong batch arity");
-  fault::end_batch(injector_, faults, dispatched.full_fidelity, degradation_);
+  fault::end_batch(injector_, request.faults, dispatched.full_fidelity,
+                   degradation_);
   const auto sessions = workload_->sessions();
   for (std::size_t i = 0; i < chosen.size(); ++i) {
-    const sim::Arrival& a = arrivals[i];
+    const sim::Arrival& a = batch_[i];
     const ApId ap = chosen[i];
     if (injector_ != nullptr) {
       const auto att = attempts_.find(a.session_index);
@@ -435,15 +425,16 @@ std::vector<ApId> ControllerEngine::place_batch(
     }
   }
   ++stats_.num_batches;
-  stats_.max_batch_size = std::max(stats_.max_batch_size, arrivals.size());
+  stats_.max_batch_size = std::max(stats_.max_batch_size, batch_.size());
   m.batches->add();
-  m.batch_size->record(arrivals.size());
+  m.batch_size->record(batch_.size());
   // Post-batch structural invariant: per-AP load conservation and
   // β ∈ [1/n, 1]. Evaluated only when contract checking is on.
   if (check::contracts_enabled()) {
     check::validate_load_state(tracker_);
   }
-  return std::move(chosen);
+  batch_.clear();
+  batch_deadline_ = kNever;
 }
 
 ControllerEngine::Step ControllerEngine::next_step() const noexcept {

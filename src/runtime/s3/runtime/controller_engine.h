@@ -102,20 +102,6 @@ class ControllerEngine {
   void process_departure();
   void flush();
 
-  /// Re-entrant dispatch-and-commit building block: routes a prepared
-  /// arrival batch through the policy and commits the placements
-  /// (tracker, assignment slots, policy on_associate, departure and
-  /// retry bookkeeping), returning the chosen AP per arrival. Unlike
-  /// flush() it does not read or reset the staged batch_ state, so an
-  /// external driver (the serve pipeline, the replication layer) can
-  /// inject batches at any point of the event walk without corrupting
-  /// a pending trace-driven batch. flush() delegates here; calling it
-  /// with the same arrivals is byte-identical to the historic inline
-  /// path. Arrival session indices must be valid workload sessions.
-  std::vector<ApId> place_batch(std::span<const sim::Arrival> arrivals,
-                                util::SimTime now,
-                                const sim::FaultControls& faults = {});
-
   // --- Uniform stepping (replication layer, s3::repl) ---------------
 
   /// One event-loop step kind, in the engine's priority order.
