@@ -118,7 +118,8 @@ ArgParseResult parse_args(std::span<const ArgSpec> specs, int argc,
         result.error_kind = ArgErrorKind::kValue;
         return result;
       }
-      result.args.values[std::string(key)] = "1";
+      // Through a temporary, like `value` below (GCC 12 -Wrestrict).
+      result.args.values[std::string(key)] = std::string("1");
       continue;
     }
     if (!have_value) {

@@ -25,11 +25,11 @@ void expect_bitwise_equal(const CliqueCoverResult& a,
   ASSERT_EQ(a.nodes_explored, b.nodes_explored);
 }
 
-/// The maintainer's edge set as a dense graph over all users, for
-/// feeding check::validate_clique_cover.
-WeightedGraph dense_view(const CliqueMaintainer& m) {
-  WeightedGraph g(m.num_users());
-  for (UserId u = 0; u < m.num_users(); ++u) {
+/// The maintainer's edge set as a dense graph over its `users` users,
+/// for feeding check::validate_clique_cover.
+WeightedGraph dense_view(const CliqueMaintainer& m, std::size_t users) {
+  WeightedGraph g(users);
+  for (UserId u = 0; u < users; ++u) {
     for (const CliqueMaintainer::Neighbor& nb : m.neighbors(u)) {
       if (nb.id > u) g.add_edge(u, nb.id, nb.weight);
     }
@@ -114,8 +114,9 @@ TEST(CliqueMaintainer, RandomChurnMatchesFromScratch) {
 
   // The final cover is a valid, non-stale partition of the edge set.
   const CliqueCoverResult& final_cover = m.cover();
-  EXPECT_TRUE(
-      check::validate_clique_cover(dense_view(m), final_cover.cliques).ok());
+  EXPECT_TRUE(check::validate_clique_cover(dense_view(m, kUsers),
+                                           final_cover.cliques)
+                  .ok());
 }
 
 TEST(CliqueMaintainer, ExactEqualReweightLeavesEverythingClean) {
