@@ -63,10 +63,9 @@ struct CliqueMaintainerStats {
 
 class CliqueMaintainer {
  public:
-  struct Neighbor {
-    UserId id = kInvalidUser;
-    double weight = 0.0;  ///< θ(u, id), strictly above the threshold
-  };
+  /// A neighbour list entry; its weight is θ(u, id), strictly above the
+  /// threshold.
+  using Neighbor = social::Neighbor;
 
   CliqueMaintainer() = default;
   explicit CliqueMaintainer(std::size_t num_users,
@@ -152,7 +151,6 @@ class CliqueMaintainer {
   /// Stamp-based visited set for BFS (no O(n) clears per delete).
   mutable std::vector<std::uint32_t> visit_mark_;
   mutable std::uint32_t visit_stamp_ = 0;
-  mutable std::vector<UserId> bfs_queue_;
 
   bool seeded_ = false;
 
