@@ -296,24 +296,25 @@ void ReplicationGroup::maybe_heartbeat(util::SimTime when) {
   // A backup that just rejected a corrupted record waits for a snapshot
   // past it; cut one from the (healthy) primary now so the stall lasts
   // at most one heartbeat.
-  if (repl_config_.snapshot_every > 0) {
-    bool stalled = false;
+  if (repl_config_.snapshot_every > 0 && backup_stalled()) {
+    append_snapshot(when);
     for (std::size_t i = 0; i < replicas_.size(); ++i) {
-      const Replica& r = replicas_[i];
-      if (i != primary_index_ && r.alive && r.needs_resync &&
-          log_.snapshot_after(r.resync_floor) == nullptr) {
-        stalled = true;
-      }
-    }
-    if (stalled) {
-      append_snapshot(when);
-      for (std::size_t i = 0; i < replicas_.size(); ++i) {
-        if (i == primary_index_ || !replicas_[i].alive) continue;
-        if (replicas_[i].needs_resync) catch_up(replicas_[i]);
-      }
+      if (i == primary_index_ || !replicas_[i].alive) continue;
+      if (replicas_[i].needs_resync) catch_up(replicas_[i]);
     }
   }
   maybe_truncate();
+}
+
+bool ReplicationGroup::backup_stalled() const {
+  for (std::size_t i = 0; i < replicas_.size(); ++i) {
+    const Replica& r = replicas_[i];
+    if (i != primary_index_ && r.alive && r.needs_resync &&
+        log_.snapshot_after(r.resync_floor) == nullptr) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void ReplicationGroup::handle_restarts(util::SimTime now, bool force) {
@@ -600,15 +601,8 @@ void ReplicationGroup::run() {
   // Backstop for a replica still waiting out a rejected record after
   // the last heartbeat: freeze the primary once so the sweep below can
   // re-seed it.
-  if (repl_config_.snapshot_every > 0 && !log_.empty()) {
-    bool stalled = false;
-    for (const Replica& r : replicas_) {
-      if (r.alive && r.needs_resync &&
-          log_.snapshot_after(r.resync_floor) == nullptr) {
-        stalled = true;
-      }
-    }
-    if (stalled) append_snapshot(log_.records().back().when);
+  if (repl_config_.snapshot_every > 0 && !log_.empty() && backup_stalled()) {
+    append_snapshot(log_.records().back().when);
   }
 
   // End-of-run convergence sweep: every replica must agree with the

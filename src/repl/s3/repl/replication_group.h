@@ -234,6 +234,12 @@ class ReplicationGroup {
   void maybe_truncate();
   /// Heartbeat bookkeeping after the primary applied a step at `when`.
   void maybe_heartbeat(util::SimTime when);
+  /// True when an alive backup waits out a rejected record and no
+  /// snapshot past it exists yet. The acting primary never waits:
+  /// needs_resync is set only by catch_up, which never runs on the
+  /// acting primary, and take_over clears it (through a rescue snapshot
+  /// when needed) before a replica becomes primary.
+  bool backup_stalled() const;
   /// Crash of the acting primary at `window.begin`: promotion (backups
   /// exist) or headless walk of the window (none do).
   void handle_outage(const util::TimeInterval& window);
