@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <utility>
 
 #include "s3/sim/selector.h"
 #include "s3/util/rng.h"
@@ -28,6 +30,13 @@ class LlfSelector final : public sim::ApSelector {
 
   ApId select_one(const sim::Arrival& arrival,
                   const sim::ApLoadTracker& loads) override;
+
+  /// Places the arrivals in order, each against the committed loads
+  /// plus this batch's earlier picks, so a burst spreads over its
+  /// candidates. The earlier picks live in an overlay that holds only
+  /// the APs they touched; the tracker is never copied.
+  sim::BatchResult place_batch(const sim::BatchRequest& request,
+                               const sim::ApLoadTracker& loads) override;
 
   LoadMetric metric() const noexcept { return metric_; }
 
@@ -79,13 +88,37 @@ class RandomSelector final : public sim::ApSelector {
   util::Rng rng_;
 };
 
-/// Shared helper: least-loaded candidate under `metric`; ties broken by
-/// the other metric, then by AP id (determinism).
-ApId least_loaded(const sim::Arrival& arrival, const sim::ApLoadTracker& loads,
-                  LoadMetric metric);
+/// Least-loaded AP of `aps` under `metric`; ties broken by the other
+/// metric, then by AP id (determinism). `Loads` is any view with
+/// `demand_mbps(ap)` and `station_count(ap)`: the committed
+/// ApLoadTracker, or LLF's batch overlay on it.
+template <typename Loads>
+ApId least_loaded_of(std::span<const ApId> aps, const Loads& loads,
+                     LoadMetric metric) {
+  S3_REQUIRE(!aps.empty(), "least_loaded: no candidates");
+  // (primary, secondary) load; pairs compare lexicographically.
+  const auto key = [&](ApId ap) {
+    const double demand = loads.demand_mbps(ap);
+    const auto stations = static_cast<double>(loads.station_count(ap));
+    return metric == LoadMetric::kDemand ? std::pair(demand, stations)
+                                         : std::pair(stations, demand);
+  };
+  ApId best = aps.front();
+  std::pair<double, double> best_key = key(best);
+  for (const ApId ap : aps) {
+    const std::pair<double, double> cur = key(ap);
+    if (cur < best_key || (cur == best_key && ap < best)) {
+      best = ap;
+      best_key = cur;
+    }
+  }
+  return best;
+}
 
-/// Same, over an explicit AP set (used by S3's tie-break fallback).
-ApId least_loaded_of(std::span<const ApId> aps, const sim::ApLoadTracker& loads,
-                     LoadMetric metric);
+/// Same, over one arrival's candidates.
+inline ApId least_loaded(const sim::Arrival& arrival,
+                         const sim::ApLoadTracker& loads, LoadMetric metric) {
+  return least_loaded_of(arrival.candidates, loads, metric);
+}
 
 }  // namespace s3::core

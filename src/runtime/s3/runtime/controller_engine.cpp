@@ -489,7 +489,7 @@ std::uint64_t ControllerEngine::step_digest() const noexcept {
   return h;
 }
 
-std::uint64_t ControllerEngine::apply_step(StepKind kind) {
+void ControllerEngine::step(StepKind kind) {
   switch (kind) {
     case StepKind::kFault:
       process_fault();
@@ -509,6 +509,10 @@ std::uint64_t ControllerEngine::apply_step(StepKind kind) {
     case StepKind::kNone:
       break;
   }
+}
+
+std::uint64_t ControllerEngine::apply_step(StepKind kind) {
+  step(kind);
   return step_digest();
 }
 
@@ -559,7 +563,7 @@ void ControllerEngine::postpone_retries_until(util::SimTime t) {
 }
 
 void ControllerEngine::run() {
-  while (!done()) apply_step(next_step().kind);
+  while (!done()) step(next_step().kind);
   finalize();
 }
 

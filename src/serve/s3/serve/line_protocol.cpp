@@ -82,6 +82,11 @@ bool run_line_protocol(ServePipeline& pipeline, std::istream& in,
         reject("trailing-garbage", line);
         continue;
       }
+      if (req.building >= pipeline.network().num_buildings() ||
+          req.user == kInvalidUser || req.demand_mbps < 0.0) {
+        reject("out-of-range", line);
+        continue;
+      }
       req.when = util::SimTime::from_seconds(t);
       const PlaceResult r = pipeline.place(req);
       if (r.placed) {

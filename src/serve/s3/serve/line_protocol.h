@@ -35,6 +35,10 @@
 //   err malformed-arrive <line>    arrive with missing/non-numeric fields
 //   err malformed-depart <line>    depart with missing/non-numeric fields
 //   err trailing-garbage <line>    valid request + extra tokens
+//   err out-of-range <line>        arrive naming a building the network
+//                                  lacks, the reserved user id
+//                                  4294967295 (kInvalidUser) or a
+//                                  negative demand
 //   err unknown-verb <verb>        first token is not a request verb
 //
 // The machine-readable class is always the second token, so scripted

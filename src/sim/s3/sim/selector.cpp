@@ -4,13 +4,10 @@ namespace s3::sim {
 
 BatchResult ApSelector::place_batch(const BatchRequest& request,
                                     const ApLoadTracker& loads) {
-  ApLoadTracker scratch = loads;
   BatchResult result;
   result.placements.reserve(request.arrivals.size());
   for (const Arrival& a : request.arrivals) {
-    const ApId ap = select_one(a, scratch);
-    scratch.associate(a.session_index, ap, a.user, a.demand_mbps);
-    result.placements.push_back(ap);
+    result.placements.push_back(select_one(a, loads));
   }
   return result;
 }

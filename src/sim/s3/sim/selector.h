@@ -5,9 +5,10 @@
 // same controller domain) plus the fault directives in force — together
 // with the current association state, and receives a BatchResult: one
 // AP per arrival and whether the batch was served at full fidelity.
-// Baselines (LLF, strongest-RSSI, random) implement select_one and
-// inherit the sequential batch loop; S3 overrides place_batch to run
-// its clique-dispersion algorithm on the whole batch.
+// Strongest-RSSI and random read no loads and inherit the default
+// batch loop; LLF overrides place_batch so that a burst spreads, and S3
+// overrides it to run its clique-dispersion algorithm on the whole
+// batch.
 #pragma once
 
 #include <memory>
@@ -79,11 +80,17 @@ class ApSelector {
   virtual ApId select_one(const Arrival& arrival,
                           const ApLoadTracker& loads) = 0;
 
-  /// Places a whole batch under the request's fault directives. The
-  /// default ignores the directives (baselines have no model to lose)
-  /// and assigns sequentially, applying each placement to a scratch
-  /// copy of the load state so that later picks see earlier ones (LLF
-  /// spreading a burst of arrivals).
+  /// Places a whole batch under the request's fault directives.
+  /// `loads` is the committed state and does not change during the
+  /// call. The default ignores the directives (baselines have no model
+  /// to lose) and calls select_one against `loads` for each arrival in
+  /// order, so its later picks do not see its earlier ones. A policy
+  /// whose later picks must see its earlier ones overrides this, as
+  /// LLF (spreading a burst) and S3 (placing cliques in turn) do.
+  ///
+  /// The caller commits every returned placement with
+  /// ApLoadTracker::associate on the real tracker, which checks that
+  /// the AP is in range and that the session is not associated yet.
   virtual BatchResult place_batch(const BatchRequest& request,
                                   const ApLoadTracker& loads);
 

@@ -32,6 +32,7 @@ Network::Network(std::vector<BuildingConfig> buildings,
                "Network: controller references unknown building");
   }
   domain_aps_.resize(controllers_.size());
+  building_aps_.resize(buildings_.size());
   building_controller_.assign(buildings_.size(), kInvalidController);
   for (const ControllerConfig& c : controllers_) {
     S3_REQUIRE(building_controller_[c.building] == kInvalidController,
@@ -47,6 +48,7 @@ Network::Network(std::vector<BuildingConfig> buildings,
                "Network: ap references unknown building");
     S3_REQUIRE(a.capacity_mbps > 0.0, "Network: ap capacity must be positive");
     domain_aps_[a.controller].push_back(a.id);
+    building_aps_[a.building].push_back(a.id);
   }
   for (std::size_t c = 0; c < domain_aps_.size(); ++c) {
     S3_REQUIRE(!domain_aps_[c].empty(),

@@ -51,6 +51,12 @@ class Network {
     return domain_aps_[c];
   }
 
+  /// APs inside one building, ascending ids.
+  std::span<const ApId> aps_of_building(BuildingId b) const {
+    S3_REQUIRE(b < buildings_.size(), "building id out of range");
+    return building_aps_[b];
+  }
+
   /// The (single, in this deployment) controller serving a building.
   ControllerId controller_of_building(BuildingId b) const {
     S3_REQUIRE(b < buildings_.size(), "building id out of range");
@@ -64,6 +70,7 @@ class Network {
   std::vector<ControllerConfig> controllers_;
   std::vector<ApConfig> aps_;
   std::vector<std::vector<ApId>> domain_aps_;       // by controller
+  std::vector<std::vector<ApId>> building_aps_;     // by building
   std::vector<ControllerId> building_controller_;   // by building
 };
 

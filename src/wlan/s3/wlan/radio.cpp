@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 
 namespace s3::wlan {
 
@@ -19,11 +21,13 @@ std::vector<ApId> candidate_aps(const Network& net, const RadioModel& radio,
     double rssi;
   };
   std::vector<Scored> heard;
-  ApId best_in_building = kInvalidAp;
-  double best_rssi = -1e9;
+  // The fallback starts at the building's first AP at -inf dBm, so a
+  // position whose distance overflows (every RSSI -inf) still gets one.
+  const std::span<const ApId> own = net.aps_of_building(building);
+  ApId best_in_building = own.empty() ? kInvalidAp : own.front();
+  double best_rssi = -std::numeric_limits<double>::infinity();
 
-  for (const ApConfig& ap : net.aps()) {
-    if (radio.same_building_only && ap.building != building) continue;
+  const auto hear = [&](const ApConfig& ap) {
     const double rssi = radio.rssi_dbm(ap, at);
     if (ap.building == building && rssi > best_rssi) {
       best_rssi = rssi;
@@ -32,6 +36,11 @@ std::vector<ApId> candidate_aps(const Network& net, const RadioModel& radio,
     if (rssi >= radio.association_threshold_dbm) {
       heard.push_back({ap.id, rssi});
     }
+  };
+  if (radio.same_building_only) {
+    for (const ApId id : own) hear(net.aps()[id]);
+  } else {
+    for (const ApConfig& ap : net.aps()) hear(ap);
   }
   if (heard.empty()) {
     S3_ASSERT(best_in_building != kInvalidAp,

@@ -35,7 +35,11 @@ struct RadioModel {
 
 /// APs audible from `at` (RSSI above threshold), strongest first.
 /// If no AP clears the threshold, returns the single strongest AP of
-/// the building so that a station indoors is never orphaned.
+/// the building so that a station indoors is never orphaned; when no
+/// AP's RSSI is finite (a distance that overflows), that is the
+/// building's first AP. With `same_building_only` it reads only the
+/// building's APs (Network::aps_of_building). `building` must be a
+/// valid id.
 std::vector<ApId> candidate_aps(const Network& net, const RadioModel& radio,
                                 BuildingId building, const Position& at);
 

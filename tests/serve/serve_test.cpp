@@ -595,6 +595,10 @@ TEST(LineProtocol, MalformedLinesReportErrorsButContinue) {
       "depart 5 100 stray\n"
       "stats stray\n"
       "social stray\n"
+      "arrive 2 0 99 5 5 0 1.0\n"
+      "arrive 3 4294967295 0 5 5 0 1.0\n"
+      "arrive 4 0 0 5 5 0 -50\n"
+      "arrive 1 0 0 1e200 1e200 0 1.0\n"
       "arrive 5 0 0 5 5 0 1.0\n");
   std::ostringstream out;
   EXPECT_FALSE(run_line_protocol(p, in, out));
@@ -613,18 +617,29 @@ TEST(LineProtocol, MalformedLinesReportErrorsButContinue) {
             std::string::npos);
   EXPECT_NE(text.find("err trailing-garbage social stray"),
             std::string::npos);
+  // Parsed but outside the network or the id/demand domain: a building
+  // the campus lacks, the reserved invalid user id, a negative demand.
+  EXPECT_NE(text.find("err out-of-range arrive 2 0 99 5 5 0 1.0\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("err out-of-range arrive 3 4294967295 0 5 5 0 1.0\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("err out-of-range arrive 4 0 0 5 5 0 -50\n"),
+            std::string::npos);
+  // A finite position whose distance overflows hears no AP and falls
+  // back to its building's first AP.
+  EXPECT_NE(text.find("place 1 0\n"), std::string::npos);
   EXPECT_NE(text.find("place 5 "), std::string::npos);
 
   // One err line per malformed input, mirrored on the metrics bus.
   EXPECT_EQ(util::metrics().counter("serve.malformed_lines")->value() - before,
-            9u);
+            12u);
 
   // A clean script leaves the counter alone and returns true.
   std::istringstream clean_in("depart 5 100\n");
   std::ostringstream clean_out;
   EXPECT_TRUE(run_line_protocol(p, clean_in, clean_out));
   EXPECT_EQ(util::metrics().counter("serve.malformed_lines")->value() - before,
-            9u);
+            12u);
 }
 
 }  // namespace
