@@ -26,6 +26,10 @@ metric's bound and a verdict:
                   every change run beats every parent run
     within bound  otherwise
 
+After the per-side lines, one line says whether the parent's and the
+change's sets of placement digests are identical. It does not affect the
+exit status, since some workloads place differently from run to run.
+
 The bounds, run length and command come from the parent's BENCHMARK.json.
 Raw results go to .perf_ab/<parent>-<change>-<workload>-seed<S>-<time>.json.
 Exit status: 0 when every run was correct and the change's failed share
@@ -123,6 +127,19 @@ def verdict(parent, change, better, bound):
     return wins, "within bound"
 
 
+def digest_line(parent, change):
+    """Whether both sides reported the same set of placement digests.
+    Informational only: some workloads (serve-stream) place differently
+    from run to run on either side, so it does not set the exit status."""
+    if not parent and not change:
+        return "# placement digests: none reported"
+    if parent == change:
+        return "# placement digests: identical sets on both sides"
+    return ("# placement digests: the sets differ "
+            f"(parent only: {', '.join(sorted(parent - change)) or 'none'}; "
+            f"change only: {', '.join(sorted(change - parent)) or 'none'})")
+
+
 def failed_share(runs):
     attempted = sum(r["attempted"] for r in runs)
     return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
@@ -199,13 +216,15 @@ def main():
               f"{wins:>3}/{args.pairs:<2} {m['bound']:>6}  {call}")
 
     ok = True
+    digests = {}
     for side in ("parent", "change"):
         correct = sum(1 for r in runs[side] if r["correct"])
-        digests = sorted({r["digest"] for r in runs[side] if r["digest"]})
+        digests[side] = {r["digest"] for r in runs[side] if r["digest"]}
         print(f"# {side}: {correct}/{args.pairs} runs correct, failed share "
               f"{failed_share(runs[side]):.6g}, placement digests "
-              f"{', '.join(digests) or 'none'}")
+              f"{', '.join(sorted(digests[side])) or 'none'}")
         ok = ok and correct == args.pairs
+    print(digest_line(digests["parent"], digests["change"]))
     if failed_share(runs["change"]) > failed_share(runs["parent"]):
         print("# the change's failed share is higher than the parent's")
         ok = False
