@@ -66,6 +66,7 @@ sim::BatchResult LlfSelector::place_batch(const sim::BatchRequest& request,
                                           const sim::ApLoadTracker& loads) {
   sim::BatchResult result;
   result.placements.reserve(request.arrivals.size());
+  result.replayable = true;  // LLF keeps no state
   BatchOverlay overlay(loads);
   for (const sim::Arrival& a : request.arrivals) {
     const ApId ap = least_loaded_of(a.candidates, overlay, metric_);

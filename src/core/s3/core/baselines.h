@@ -34,7 +34,8 @@ class LlfSelector final : public sim::ApSelector {
   /// Places the arrivals in order, each against the committed loads
   /// plus this batch's earlier picks, so a burst spreads over its
   /// candidates. The earlier picks live in an overlay that holds only
-  /// the APs they touched; the tracker is never copied.
+  /// the APs they touched; the tracker is never copied. The result is
+  /// replayable.
   sim::BatchResult place_batch(const sim::BatchRequest& request,
                                const sim::ApLoadTracker& loads) override;
 

@@ -11,11 +11,9 @@ OnlineS3Selector::OnlineS3Selector(const wlan::Network* net,
 
 std::uint64_t OnlineS3Selector::state_digest() const {
   std::uint64_t h = model_.state_digest();
-  for (const std::uint64_t v : {presence_.state_digest(),
-                                inner_.state_digest()}) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  }
+  const std::uint64_t v = presence_.state_digest();
+  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
   return h;
 }
 

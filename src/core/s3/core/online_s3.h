@@ -46,7 +46,8 @@ class OnlineS3Selector final : public sim::ApSelector {
 
   /// Forwards to the inner S3 machinery, fault directives included (the
   /// online wrapper degrades exactly like frozen S3: model outage ->
-  /// embedded LLF).
+  /// embedded LLF). The result is replayable: the live model learns only
+  /// in the hooks below.
   sim::BatchResult place_batch(const sim::BatchRequest& request,
                                const sim::ApLoadTracker& loads) override {
     return inner_.place_batch(request, loads);
@@ -64,8 +65,8 @@ class OnlineS3Selector final : public sim::ApSelector {
 
   bool uses_social_model() const override { return true; }
 
-  /// Live social counters, presence state and the inner S3 machinery's
-  /// digest.
+  /// Live social counters and presence state — everything a later
+  /// placement reads (the inner S3 machinery keeps only telemetry).
   std::uint64_t state_digest() const override;
 
   /// Deep copy for replication checkpoints: the live social model is

@@ -265,55 +265,47 @@ S3Selector::S3Selector(const wlan::Network* net,
   S3_REQUIRE(config_.beam_width >= 1, "S3Selector: beam_width must be >= 1");
 }
 
-std::uint64_t S3Selector::state_digest() const {
-  std::uint64_t h = 0x53335f646967ULL;  // "S3_dig"
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  };
-  mix(stats_.batches);
-  mix(stats_.singles);
-  mix(stats_.cliques);
-  mix(stats_.clique_members);
-  mix(stats_.largest_clique);
-  mix(stats_.exact_enumerations);
-  mix(stats_.beam_searches);
-  mix(stats_.bandwidth_fallbacks);
-  mix(stats_.empty_candidate_fallbacks);
-  mix(stats_.degraded_batches);
-  mix(stats_.inexact_covers);
-  mix(last_full_fidelity_ ? 1 : 0);
-  return h;
-}
-
 // C(AP) counts only *close* relations (θ above the graph's edge
 // threshold) unless threshold < 0. The type prior alone gives every
 // pair a small positive θ; summing those would turn C into a
 // station-count proxy and make S3 fight LLF's traffic balancing for
 // users with no real ties — exactly the case the pseudocode routes to
 // LLF ("if there are multiple candidate APs to choose, apply LLF").
-// The station users are gathered once and scored with a single
-// theta_row call: one batched probe sweep instead of |S(AP)| virtual
-// scalar lookups. Summation order matches the station iteration order,
-// so the total is bit-identical to the old per-station loop.
-double S3Selector::social_cost(const sim::ApLoadTracker& loads, UserId user,
-                               ApId ap, double threshold) {
+// The stations of every AP are gathered into one row and scored with a
+// single theta_row call, so the pair-table misses of all the arrival's
+// APs overlap. Each AP's segment is summed in station order from 0.0,
+// so every cost is bit-identical to a per-AP row's sum.
+void S3Selector::social_costs(const sim::ApLoadTracker& loads, UserId user,
+                              std::span<const ApId> aps,
+                              std::vector<double>& costs) {
+  const double threshold =
+      config_.count_weak_ties_in_cost ? -1.0 : config_.theta_threshold;
   row_users_.clear();
-  loads.for_each_station(ap, [&](const sim::ActiveStation& st) {
-    row_users_.push_back(st.user);
-  });
-  if (row_users_.empty()) return 0.0;
+  row_ends_.clear();
+  for (const ApId ap : aps) {
+    loads.for_each_station(ap, [&](const sim::ActiveStation& st) {
+      row_users_.push_back(st.user);
+    });
+    row_ends_.push_back(row_users_.size());
+  }
   if (row_theta_.size() < row_users_.size()) {
     row_theta_.resize(row_users_.size());
   }
-  const std::span<double> out =
-      std::span<double>(row_theta_).first(row_users_.size());
-  model_->theta_row(user, row_users_, out);
-  double cost = 0.0;
-  for (const double th : out) {
-    if (threshold < 0.0 || th > threshold) cost += th;
+  if (!row_users_.empty()) {
+    model_->theta_row(user, row_users_,
+                      std::span<double>(row_theta_).first(row_users_.size()));
   }
-  return cost;
+  costs.clear();
+  std::size_t begin = 0;
+  for (const std::size_t end : row_ends_) {
+    double cost = 0.0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const double th = row_theta_[i];
+      if (threshold < 0.0 || th > threshold) cost += th;
+    }
+    costs.push_back(cost);
+    begin = end;
+  }
 }
 
 ApId S3Selector::select_one(const sim::Arrival& arrival,
@@ -328,22 +320,24 @@ ApId S3Selector::select_one(const sim::Arrival& arrival,
     return least_loaded(arrival, loads, config_.llf_metric);
   }
 
-  double best = kInf;
-  std::vector<ApId> ties;
-  for (ApId ap : arrival.candidates) {
+  feasible_.clear();
+  for (const ApId ap : arrival.candidates) {
     if (config_.respect_bandwidth &&
         loads.headroom_mbps(ap) < arrival.demand_mbps) {
       continue;  // infinite cost (line 8–9 of Algorithm 1)
     }
-    const double cost =
-        social_cost(loads, arrival.user, ap,
-                    config_.count_weak_ties_in_cost ? -1.0
-                                                    : config_.theta_threshold);
+    feasible_.push_back(ap);
+  }
+  social_costs(loads, arrival.user, feasible_, costs_);
+  double best = kInf;
+  std::vector<ApId> ties;
+  for (std::size_t i = 0; i < feasible_.size(); ++i) {
+    const double cost = costs_[i];
     if (cost < best - kCostEps) {
       best = cost;
-      ties.assign(1, ap);
+      ties.assign(1, feasible_[i]);
     } else if (cost <= best + kCostEps) {
-      ties.push_back(ap);
+      ties.push_back(feasible_[i]);
     }
   }
   if (ties.empty()) {
@@ -361,20 +355,23 @@ sim::BatchResult S3Selector::place_batch(const sim::BatchRequest& request,
                                          const sim::ApLoadTracker& loads) {
   const std::span<const sim::Arrival> batch = request.arrivals;
   controls_ = request.faults;
-  if (batch.empty()) return {};
+  // A batch changes only telemetry (stats_, the warning flag) and the
+  // directives the next call overwrites; θ comes from a frozen model or
+  // one that learns only in its hooks. So a replica may apply the result.
+  sim::BatchResult result;
+  result.replayable = true;
+  if (batch.empty()) return result;
   ++stats_.batches;
   if (degraded()) {
     // Fault directive: the social model is out (or the engine's state
     // machine ordered a fallback batch) — serve with the embedded LLF,
     // the same deployed-controller policy the pseudocode falls back to.
     ++stats_.degraded_batches;
-    last_full_fidelity_ = controls_.model_available;
-    sim::BatchResult fallback = llf_.place_batch(request, loads);
-    fallback.full_fidelity = last_full_fidelity_;
-    return fallback;
+    result = llf_.place_batch(request, loads);  // replayable too
+    result.full_fidelity = controls_.model_available;
+    return result;
   }
-  last_full_fidelity_ = true;
-  std::vector<ApId> result(batch.size(), kInvalidAp);
+  result.placements.assign(batch.size(), kInvalidAp);
 
   // ---- Social graph over the batch (vertices = batch indices) -------
   // One theta_row per vertex against the suffix of the batch: θ is
@@ -408,7 +405,7 @@ sim::BatchResult S3Selector::place_batch(const sim::BatchRequest& request,
   }
   if (!cover_result.exact) {
     ++stats_.inexact_covers;
-    last_full_fidelity_ = false;
+    result.full_fidelity = false;
     if (!warned_inexact_) {
       warned_inexact_ = true;
       std::cerr << "s3: clique node budget exhausted on a batch graph; "
@@ -431,23 +428,24 @@ sim::BatchResult S3Selector::place_batch(const sim::BatchRequest& request,
   for (const std::vector<std::size_t>& clique : cover_result.cliques) {
     if (clique.size() == 1) {
       ++stats_.singles;
-      result[clique.front()] = select_one(batch[clique.front()], view);
+      result.placements[clique.front()] =
+          select_one(batch[clique.front()], view);
     } else {
       ++stats_.cliques;
       stats_.clique_members += clique.size();
       stats_.largest_clique = std::max(stats_.largest_clique, clique.size());
       s3_metrics().clique_size->record(clique.size());
-      place_clique_members(batch, clique, view, result);
+      place_clique_members(batch, clique, view, result.placements);
     }
     if (committed) {
       for (const std::size_t i : clique) {
         const sim::Arrival& a = batch[i];
-        committed->associate(a.session_index, result[i], a.user,
+        committed->associate(a.session_index, result.placements[i], a.user,
                              a.demand_mbps);
       }
     }
   }
-  return {std::move(result), last_full_fidelity_};
+  return result;
 }
 
 void S3Selector::place_clique_members(std::span<const sim::Arrival> batch,
@@ -455,8 +453,6 @@ void S3Selector::place_clique_members(std::span<const sim::Arrival> batch,
                                       const sim::ApLoadTracker& loads,
                                       std::span<ApId> result) {
   const std::size_t m = clique.size();
-  const double threshold =
-      config_.count_weak_ties_in_cost ? -1.0 : config_.theta_threshold;
   const auto domain = net_->aps_of_controller(batch[clique[0]].controller);
 
   // Per member and candidate: base social cost against the committed
@@ -467,8 +463,9 @@ void S3Selector::place_clique_members(std::span<const sim::Arrival> batch,
   for (std::size_t k = 0; k < m; ++k) {
     const sim::Arrival& a = batch[clique[k]];
     s.demand[k] = a.demand_mbps;
+    social_costs(loads, a.user, a.candidates, costs_);
+    s.base_cost.insert(s.base_cost.end(), costs_.begin(), costs_.end());
     for (const ApId ap : a.candidates) {
-      s.base_cost.push_back(social_cost(loads, a.user, ap, threshold));
       const auto seen = std::find(slot_ap.begin(), slot_ap.end(), ap);
       const auto slot = static_cast<std::size_t>(seen - slot_ap.begin());
       if (seen == slot_ap.end()) {

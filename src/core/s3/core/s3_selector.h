@@ -90,7 +90,7 @@ class S3Selector final : public sim::ApSelector {
              S3Config config = {});
 
   /// Copy with the θ provider rebound: identical internal state (stats,
-  /// fidelity flags, scratch), but future θ queries go to `model`. The
+  /// directives, scratch), but future θ queries go to `model`. The
   /// online wrapper clones its live social model and needs the inner
   /// machinery to consult the clone, not the original.
   S3Selector(const S3Selector& other, const social::ThetaProvider* model)
@@ -108,16 +108,16 @@ class S3Selector final : public sim::ApSelector {
   /// Algorithm 1 over the whole batch; under a fault directive
   /// (request.faults: model outage / forced fallback) the batch is
   /// served by the embedded LLF instead and the result reports reduced
-  /// fidelity.
+  /// fidelity. Every result is replayable.
   sim::BatchResult place_batch(const sim::BatchRequest& request,
                                const sim::ApLoadTracker& loads) override;
 
   bool uses_social_model() const override { return true; }
 
-  /// Folds the running S3Stats and fidelity flag — the only state that
-  /// outlives a batch (the θ model is external and the scratch vectors
-  /// are transient).
-  std::uint64_t state_digest() const override;
+  // state_digest() keeps the default 0: no later decision reads what a
+  // batch leaves behind. S3Stats are telemetry (the core.s3.* bus
+  // counters count the same events), and the directives are
+  // overwritten by the next place_batch.
 
   const S3Config& config() const noexcept { return config_; }
   const S3Stats& stats() const noexcept { return stats_; }
@@ -138,11 +138,11 @@ class S3Selector final : public sim::ApSelector {
                             const sim::ApLoadTracker& loads,
                             std::span<ApId> result);
 
-  /// Social cost of adding `user` to `ap` against the committed state:
-  /// C(AP) = Σ_{w ∈ S(AP)} θ(user, w) over one batched theta_row call.
-  /// `threshold < 0` counts weak ties too.
-  double social_cost(const sim::ApLoadTracker& loads, UserId user, ApId ap,
-                     double threshold);
+  /// Social cost of adding `user` to each AP of `aps` against the
+  /// committed state, C(AP) = Σ_{w ∈ S(AP)} θ(user, w), into `costs`
+  /// (aligned with `aps`), from one theta_row over all their stations.
+  void social_costs(const sim::ApLoadTracker& loads, UserId user,
+                    std::span<const ApId> aps, std::vector<double>& costs);
 
   /// True while a fault directive routes batches to the embedded LLF.
   bool degraded() const noexcept {
@@ -157,11 +157,14 @@ class S3Selector final : public sim::ApSelector {
   /// Directives of the batch in flight (select_one consults them when
   /// called standalone; place_batch refreshes them per request).
   sim::FaultControls controls_{};
-  bool last_full_fidelity_ = true;
   bool warned_inexact_ = false;  ///< budget-exhaustion logged once
-  // theta_row scratch, reused across social_cost calls.
+  // social_costs scratch: one row of stations, the end of each AP's
+  // segment, and its θ; select_one's feasible APs and their costs.
   std::vector<UserId> row_users_;
+  std::vector<std::size_t> row_ends_;
   std::vector<double> row_theta_;
+  std::vector<ApId> feasible_;
+  std::vector<double> costs_;
 };
 
 }  // namespace s3::core

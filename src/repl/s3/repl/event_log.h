@@ -1,12 +1,16 @@
 // Append-only replication log of controller-engine steps.
 //
 // The primary appends one record per step it applies: the step kind,
-// its simulation time, the replication term it was written under, and
-// the engine's post-step state digest. A backup catches up by replaying
-// the suffix it has not applied yet — engines are deterministic, so
-// re-applying the same kinds in the same order reproduces the primary's
-// state bit-for-bit, and the stored digest lets the backup verify that
-// claim record by record instead of trusting it.
+// its simulation time, the replication term it was written under, the
+// engine's post-step state digest, and — for a step that placed a
+// batch — the batch result the policy returned. A backup catches up by
+// replaying the suffix it has not applied yet: engines are
+// deterministic, so re-applying the same kinds in the same order
+// reproduces the primary's state bit-for-bit. A replayable batch is
+// committed as recorded instead of being searched again (see
+// ControllerEngine::apply_step). The stored digest, which folds the
+// committed placements, lets the backup verify all of it record by
+// record instead of trusting it.
 //
 // The log also records control events (crash, promotion, restart,
 // adoption, hand-back) and the headless-mode actions of an unreplicated
@@ -33,7 +37,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "s3/repl/engine_checkpoint.h"
@@ -118,6 +124,9 @@ struct LogRecord {
   RecordKind kind = RecordKind::kFlush;
   util::SimTime when;       ///< simulation time of the step
   std::uint64_t digest = 0; ///< engine state digest after applying
+  /// What the step's flush placed (ControllerEngine::last_batch());
+  /// empty for every step that placed no batch.
+  std::optional<sim::BatchResult> batch;
 };
 
 /// One frozen checkpoint, anchored at the log index of its kSnapshot
@@ -160,9 +169,10 @@ class EventLog {
   }
 
   const LogRecord& append(RecordKind kind, std::uint64_t term,
-                          util::SimTime when, std::uint64_t digest) {
-    records_.push_back(
-        {static_cast<std::uint64_t>(size()), term, kind, when, digest});
+                          util::SimTime when, std::uint64_t digest,
+                          std::optional<sim::BatchResult> batch = {}) {
+    records_.push_back({static_cast<std::uint64_t>(size()), term, kind, when,
+                        digest, std::move(batch)});
     return records_.back();
   }
 
@@ -194,8 +204,10 @@ class EventLog {
     return nullptr;
   }
 
-  /// Drops every record with index < `upto` (and the snapshots anchored
-  /// in the dropped prefix). The caller is responsible for the
+  /// Drops every record with index < `upto`, its batch with it (and the
+  /// snapshots anchored in the dropped prefix). Memory is therefore
+  /// O(retained records + their placements) plus the retained
+  /// snapshots. The caller is responsible for the
   /// truncation invariant: `upto` must not exceed the latest snapshot's
   /// index or any live replica's applied position — validated by
   /// check::validate_log_truncation before every call. Returns how many

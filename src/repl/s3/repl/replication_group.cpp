@@ -176,7 +176,8 @@ std::uint64_t ReplicationGroup::catch_up(Replica& r) {
       std::uint64_t digest = 0;
       bool verifiable = false;
       if (is_engine_step(rec.kind)) {
-        digest = r.engine->apply_step(to_step_kind(rec.kind));
+        digest = r.engine->apply_step(to_step_kind(rec.kind),
+                                      rec.batch ? &*rec.batch : nullptr);
         verifiable = true;
       } else if (is_headless_step(rec.kind)) {
         switch (rec.kind) {
@@ -230,8 +231,12 @@ void ReplicationGroup::account_catchup(std::uint64_t replayed,
 }
 
 void ReplicationGroup::append_primary(RecordKind kind, util::SimTime when,
-                                      std::uint64_t digest) {
-  const LogRecord& rec = log_.append(kind, primary().term, when, digest);
+                                      std::uint64_t digest,
+                                      const sim::BatchResult* batch) {
+  const LogRecord& rec =
+      log_.append(kind, primary().term, when, digest,
+                  batch ? std::optional<sim::BatchResult>(*batch)
+                        : std::nullopt);
   if (rec.index == repl_config_.corrupt_record) log_.tamper_digest(rec.index);
   if (is_engine_step(kind) || is_headless_step(kind)) {
     ++replayable_since_snapshot_;
@@ -592,7 +597,8 @@ void ReplicationGroup::run() {
       continue;
     }
     const std::uint64_t digest = primary().engine->apply_step(step.kind);
-    append_primary(from_step_kind(step.kind), step.when, digest);
+    append_primary(from_step_kind(step.kind), step.when, digest,
+                   primary().engine->last_batch());
     maybe_snapshot(step.when);
     maybe_heartbeat(step.when);
   }

@@ -4,7 +4,8 @@
 // to our deterministic simulation world: a primary ControllerEngine
 // applies domain events and appends one record per step to an
 // append-only EventLog; backups replay the log suffix at logical-clock
-// heartbeat boundaries; when a controller-outage window opens, the
+// heartbeat boundaries, applying the primary's recorded batch decisions
+// instead of searching again; when a controller-outage window opens, the
 // primary crashes and the surviving replica with the highest (term,
 // applied-records) pair — seeded SplitMix64 tie-break — is promoted,
 // catches up by replaying the remaining suffix, and provably reaches a
@@ -221,10 +222,11 @@ class ReplicationGroup {
   /// Replaces `r`'s engine/policy/assignment with fresh clones of the
   /// checkpoint and moves its position to the snapshot's anchor.
   void install_snapshot(Replica& r, const SnapshotEntry& entry);
-  /// Appends a record for a step the primary just applied and advances
-  /// its position.
+  /// Appends a record for a step the primary just applied, with the
+  /// batch it placed when it placed one, and advances its position.
   void append_primary(RecordKind kind, util::SimTime when,
-                      std::uint64_t digest);
+                      std::uint64_t digest,
+                      const sim::BatchResult* batch = nullptr);
   /// Freezes the primary into a kSnapshot record now.
   void append_snapshot(util::SimTime when);
   /// Snapshot-interval bookkeeping after an appended replayable record.

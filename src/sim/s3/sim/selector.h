@@ -67,6 +67,13 @@ struct BatchResult {
   /// inexactly (e.g. S3's clique search hit its node budget). Feeds the
   /// RECOVERING -> HEALTHY hysteresis of the degradation state machine.
   bool full_fidelity = true;
+  /// True when a replica may apply this result without calling
+  /// place_batch itself: the placements depend only on the request, the
+  /// committed loads and state that only on_associate/on_disconnect
+  /// change, and the call changed nothing state_digest() folds. LLF and
+  /// S3 set it. The default batch loop leaves it false, because
+  /// select_one may draw (random advances its RNG).
+  bool replayable = false;
 };
 
 class ApSelector {
@@ -86,7 +93,8 @@ class ApSelector {
   /// to lose) and calls select_one against `loads` for each arrival in
   /// order, so its later picks do not see its earlier ones. A policy
   /// whose later picks must see its earlier ones overrides this, as
-  /// LLF (spreading a burst) and S3 (placing cliques in turn) do.
+  /// LLF (spreading a burst) and S3 (placing cliques in turn) do, and
+  /// sets BatchResult::replayable when its result qualifies.
   ///
   /// The caller commits every returned placement with
   /// ApLoadTracker::associate on the real tracker, which checks that
@@ -105,13 +113,15 @@ class ApSelector {
   /// degrade when the injector declares a model outage.
   virtual bool uses_social_model() const { return false; }
 
-  /// Order-insensitive fold of the policy's internal mutable state
-  /// (online social counters, presence maps, RNG state). Two policy
-  /// instances that observed the same associate/disconnect/batch
-  /// sequence must report equal digests; the replication layer stores
-  /// this in every replica snapshot to prove a promoted backup carries
-  /// the same social model as the lost primary. Stateless policies
-  /// keep the default 0.
+  /// Order-insensitive fold of the internal mutable state that later
+  /// decisions read (online social counters, presence maps, RNG state);
+  /// telemetry counters stay out. Two policy instances that observed
+  /// the same associate/disconnect/batch sequence must report equal
+  /// digests, and so must one that applied a replayable batch without
+  /// calling place_batch; the replication layer stores this in every
+  /// replica snapshot to prove a promoted backup carries the same
+  /// social model as the lost primary. Stateless policies keep the
+  /// default 0.
   virtual std::uint64_t state_digest() const { return 0; }
 
   /// Deep copy carrying the exact internal state — not just the

@@ -1,5 +1,6 @@
 #include "s3/social/live_social_model.h"
 
+#include <type_traits>
 #include <utility>
 
 #include "s3/util/error.h"
@@ -44,10 +45,16 @@ void LiveSocialModel<Store>::theta_row(UserId u, std::span<const UserId> vs,
   base_->theta_row(u, vs, out);
   if (live_.empty()) return;
   const std::size_t type_u = type_of(u);
-  for (std::size_t i = 0; i < vs.size(); ++i) {
-    if (vs[i] == u) continue;
-    if (const auto live = live_.find(UserPair(u, vs[i]))) {
-      out[i] = live_theta(type_u, vs[i], *live);
+  if constexpr (std::is_same_v<Store, PairStore>) {
+    live_.find_row(u, vs, [&](std::size_t i, const PairStore::Stats* live) {
+      if (live != nullptr) out[i] = live_theta(type_u, vs[i], *live);
+    });
+  } else {
+    for (std::size_t i = 0; i < vs.size(); ++i) {
+      if (vs[i] == u) continue;
+      if (const auto live = live_.find(UserPair(u, vs[i]))) {
+        out[i] = live_theta(type_u, vs[i], *live);
+      }
     }
   }
 }

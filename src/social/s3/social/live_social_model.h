@@ -53,7 +53,8 @@ class LiveSocialModel final : public ThetaProvider {
   double theta(UserId u, UserId v) const override;
 
   /// One flat pass over the base model's row, then the live counters
-  /// patched on top. Bit-identical to the scalar path.
+  /// patched on top (a find_row sweep over PairStore, per-pair finds
+  /// over ConcurrentPairStore). Bit-identical to the scalar path.
   void theta_row(UserId u, std::span<const UserId> vs,
                  std::span<double> out) const override;
 

@@ -15,6 +15,7 @@
 // by SortedBuilder from entries in ascending pair order.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -62,6 +63,47 @@ class PairStore {
   }
   Stats* find(UserPair p) noexcept {
     return const_cast<Stats*>(std::as_const(*this).find(p));
+  }
+
+  /// find() over a row: calls fn(i, stats) for every i in ascending
+  /// order, with the counters of the pair (u, vs[i]) or nullptr (always
+  /// nullptr for vs[i] == u: a self pair is never stored). find()'s
+  /// probe loop waits on each load before the next; a row instead goes
+  /// in chunks of kRowChunk pairs: first every pair's home slot is
+  /// loaded — independent loads, so their cache misses overlap — then
+  /// each pair resolves in order: a hit or an empty slot at home, or
+  /// the linear probe continues past it.
+  template <typename Fn>
+  void find_row(UserId u, std::span<const UserId> vs, Fn&& fn) const {
+    if (size_ == 0) {
+      for (std::size_t i = 0; i < vs.size(); ++i) fn(i, nullptr);
+      return;
+    }
+    const std::size_t mask = slots_.size() - 1;
+    std::uint64_t keys[kRowChunk];
+    std::size_t home[kRowChunk];
+    std::uint64_t at_home[kRowChunk];
+    for (std::size_t begin = 0; begin < vs.size(); begin += kRowChunk) {
+      const std::size_t n = std::min(kRowChunk, vs.size() - begin);
+      for (std::size_t j = 0; j < n; ++j) {
+        keys[j] = pack(UserPair(u, vs[begin + j]));
+        home[j] = hash(keys[j]) & mask;
+        at_home[j] = slots_[home[j]].key;
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        const Stats* hit = nullptr;
+        if (vs[begin + j] != u) {
+          std::size_t i = home[j];
+          std::uint64_t seen = at_home[j];
+          while (seen != keys[j] && seen != kEmptyKey) {
+            i = (i + 1) & mask;
+            seen = slots_[i].key;
+          }
+          if (seen == keys[j]) hit = &slots_[i].stats;
+        }
+        fn(begin + j, hit);
+      }
+    }
   }
 
   /// Counters for `p`, default-constructed on first touch.
@@ -188,6 +230,8 @@ class PairStore {
   static constexpr std::uint64_t kEmptyKey = ~0ULL;  // pair (max, max): a == b,
                                                      // never storable
   static constexpr std::size_t kMinCapacity = 16;
+  /// Pairs whose home slots find_row loads before resolving any.
+  static constexpr std::size_t kRowChunk = 16;
 
   /// splitmix64 finalizer — the same mix UserPairHash uses, so the two
   /// backends agree on distribution quality.

@@ -112,11 +112,11 @@ void SocialIndexModel::theta_row(UserId u, std::span<const UserId> vs,
   const std::size_t type_u = typed ? typing_.type(u) : 0;
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;
-  for (std::size_t i = 0; i < vs.size(); ++i) {
+  stats_.find_row(u, vs, [&](std::size_t i, const PairStore::Stats* stats) {
     const UserId v = vs[i];
     if (v == u) {
       out[i] = 0.0;
-      continue;
+      return;
     }
     S3_REQUIRE(v < num_users(), "theta_row: user out of range");
     const double type_term = typed ? matrix_.at(type_u, typing_.type(v)) : 0.0;
@@ -124,13 +124,12 @@ void SocialIndexModel::theta_row(UserId u, std::span<const UserId> vs,
     // scalar paths agree bit for bit.
     double p = 0.0;
     ++lookups;
-    if (const PairStore::Stats* stats = stats_.find(UserPair(u, v));
-        stats != nullptr && stats->encounters >= config_.min_encounters) {
+    if (stats != nullptr && stats->encounters >= config_.min_encounters) {
       ++hits;
       p = stats->co_leave_probability();
     }
     out[i] = p + config_.alpha * type_term;
-  }
+  });
   const ThetaMetrics& m = theta_metrics();
   m.row_calls->add();
   m.evals->add(vs.size());

@@ -68,10 +68,9 @@ class ThetaProvider {
 
   /// Batched kernel: out[i] = theta(u, vs[i]) for i < vs.size().
   /// `out` must have at least vs.size() elements. The default loops
-  /// theta(); SocialIndexModel overrides it with one flat probe
-  /// sequence per row (no virtual dispatch, no per-pair hashing
-  /// overhead beyond the mix itself). Results are bit-identical to the
-  /// scalar path.
+  /// theta(); SocialIndexModel overrides it with one PairStore::find_row
+  /// sweep per row (no virtual dispatch, and the pair-table misses
+  /// overlap). Results are bit-identical to the scalar path.
   virtual void theta_row(UserId u, std::span<const UserId> vs,
                          std::span<double> out) const;
 
@@ -122,7 +121,8 @@ class SocialIndexModel : public ThetaProvider {
   /// The social relation index θ(u,v). Symmetric; 0 for u == v.
   double theta(UserId u, UserId v) const override;
 
-  /// One flat probe sequence per row — see ThetaProvider::theta_row.
+  /// One PairStore::find_row sweep per row, whose pair-table misses
+  /// overlap — see ThetaProvider::theta_row.
   void theta_row(UserId u, std::span<const UserId> vs,
                  std::span<double> out) const override;
 

@@ -368,26 +368,47 @@ TEST(S3Selector, FaultControlsForceLlfFallback) {
 }
 
 TEST(S3Selector, StateDigestTracksCommittedAssociations) {
-  // Two instances fed the same associate/disconnect sequence agree; a
-  // third that saw different history does not.
+  // No later decision reads what a batch leaves behind: S3Stats are
+  // telemetry and the directives are overwritten by the next batch. So
+  // healthy, degraded and budget-exhausted batches all leave the digest
+  // where a replica that never called place_batch has it, while
+  // stats() still counts them, and every result is replayable.
   const auto net = mini_network(3);
-  const auto model = explicit_model(3, {{0, 1, 4, 4}});
-  S3Selector a(&net, &model);
-  S3Selector b(&net, &model);
-  S3Selector c(&net, &model);
-  EXPECT_EQ(a.state_digest(), b.state_digest());
+  const auto model =
+      explicit_model(3, {{0, 1, 4, 4}, {0, 2, 4, 4}, {1, 2, 4, 4}});
+  S3Selector primary(&net, &model);
+  const S3Selector replica(&net, &model);
+  const std::uint64_t digest = replica.state_digest();
 
   sim::ApLoadTracker loads(net);
-  std::vector<sim::Arrival> batch{arrival(0, 0, {0, 1, 2})};
+  std::vector<sim::Arrival> batch{arrival(0, 0, {0, 1, 2}),
+                                  arrival(1, 1, {0, 1, 2}),
+                                  arrival(2, 2, {0, 1, 2})};
   sim::BatchRequest request;
   request.arrivals = batch;
-  (void)a.place_batch(request, loads);
-  (void)b.place_batch(request, loads);
-  EXPECT_EQ(a.state_digest(), b.state_digest());
+  const sim::BatchResult healthy = primary.place_batch(request, loads);
+  EXPECT_TRUE(healthy.full_fidelity);
+  EXPECT_TRUE(healthy.replayable);
+  EXPECT_EQ(primary.state_digest(), digest);
 
-  request.faults.model_available = false;  // degraded batch mutates stats
-  (void)c.place_batch(request, loads);
-  EXPECT_NE(a.state_digest(), c.state_digest());
+  request.faults.model_available = false;
+  const sim::BatchResult degraded = primary.place_batch(request, loads);
+  EXPECT_FALSE(degraded.full_fidelity);
+  EXPECT_TRUE(degraded.replayable);
+  EXPECT_EQ(primary.state_digest(), digest);
+
+  request.faults = {};
+  request.faults.clique_node_budget = 1;
+  const sim::BatchResult exhausted = primary.place_batch(request, loads);
+  EXPECT_FALSE(exhausted.full_fidelity);
+  EXPECT_TRUE(exhausted.replayable);
+  EXPECT_EQ(primary.state_digest(), digest);
+
+  const S3Stats& st = primary.stats();
+  EXPECT_EQ(st.batches, 3u);
+  EXPECT_EQ(st.degraded_batches, 1u);
+  EXPECT_EQ(st.inexact_covers, 1u);
+  EXPECT_EQ(replica.stats().batches, 0u);
 }
 
 // ---- Differential test: flat search vs the level-by-level reference --
@@ -855,6 +876,23 @@ TEST(S3SelectorDifferential, SeveralCliquesMatchReference) {
   dc.config.enumeration_limit = 12;
   dc.config.beam_width = 4;
   (void)run_differential(dc, 24, 200);
+}
+
+TEST(S3SelectorDifferential, ManyStationedCandidatesMatchReference) {
+  // Members hear up to 12 APs that nearly all carry stations: each
+  // member's C(AP) for every candidate comes from one θ row over all
+  // their stations, and must equal the reference's per-AP sum.
+  DiffCase dc;
+  dc.aps = 12;
+  dc.max_candidates = 12;
+  dc.residents = 72;
+  dc.max_resident_demand = 0.5;
+  dc.capacity = 40.0;
+  const DiffCoverage cov = run_differential(dc, 25, 150);
+  EXPECT_GT(cov.exact, 0u);
+  EXPECT_GT(cov.beam, 0u);
+  dc.several_cliques = true;
+  (void)run_differential(dc, 26, 150);
 }
 
 TEST(S3SelectorDifferential, ZeroThetaMassiveTiesMatchReference) {

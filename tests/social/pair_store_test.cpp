@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <random>
 #include <unordered_map>
+
+#include "s3/social/social_index.h"
 
 namespace s3::social {
 namespace {
@@ -362,6 +365,119 @@ TEST(PairStore, ClearResetsEverything) {
   EXPECT_EQ(store.capacity(), 0u);
   EXPECT_FALSE(store.has_neighbor_index());
   EXPECT_EQ(store.find(UserPair(0, 1)), nullptr);
+}
+
+// ---- find_row: the chunked two-phase probe ------------------------------
+
+constexpr UserId kRowUsers = 60;
+
+/// A 64-slot table of 30 pairs, six of whose home slot is one of the
+/// last two: at least four of those sit past the end, at the front of
+/// the table, where only a probe that wraps finds them. The slot
+/// arithmetic uses UserPairHash, the mix PairStore hashes with.
+PairStore wrapped_store() {
+  PairStore store(32);
+  const std::size_t mask = store.capacity() - 1;
+  std::size_t near_end = 0;
+  for (UserId a = 0; a < kRowUsers && near_end < 6; ++a) {
+    for (UserId b = a + 1; b < kRowUsers && near_end < 6; ++b) {
+      if ((UserPairHash{}(UserPair(a, b)) & mask) + 2 > mask) {
+        store.assign(UserPair(a, b), {4, a % 5, 0});
+        ++near_end;
+      }
+    }
+  }
+  std::mt19937_64 rng(41);
+  while (store.size() < 30) {
+    const UserPair p = random_pair(rng, kRowUsers);
+    store.assign(p, {1 + p.a % 4, p.b % 2, 0});
+  }
+  return store;
+}
+
+/// Calls fn(u, vs) on rows of 1, 15, 16, 17 and 33 users around every
+/// stored pair, from each end: the partner first and last, u itself in
+/// the middle, the rest drawn at random.
+template <typename Fn>
+void for_each_test_row(const PairStore& store, Fn&& fn) {
+  std::mt19937_64 rng(43);
+  std::uniform_int_distribution<UserId> pick(0, kRowUsers - 1);
+  for (const std::size_t len : {1u, 15u, 16u, 17u, 33u}) {
+    for (const auto& e : store.sorted_entries()) {
+      for (const auto& [u, partner] :
+           {std::pair(e.pair.a, e.pair.b), std::pair(e.pair.b, e.pair.a)}) {
+        std::vector<UserId> vs(len);
+        for (UserId& v : vs) v = pick(rng);
+        vs.front() = partner;
+        vs.back() = partner;
+        if (len > 2) vs[len / 2] = u;
+        fn(u, vs);
+      }
+    }
+  }
+}
+
+TEST(PairStore, FindRowMatchesFind) {
+  const auto expect_row = [](const PairStore& store, UserId u,
+                             const std::vector<UserId>& vs,
+                             std::size_t* hits) {
+    std::vector<std::size_t> order;
+    store.find_row(u, vs, [&](std::size_t i, const Stats* stats) {
+      order.push_back(i);
+      const Stats* want = vs[i] == u ? nullptr : store.find(UserPair(u, vs[i]));
+      EXPECT_EQ(stats, want) << "u=" << u << " v=" << vs[i] << " at " << i;
+      if (stats != nullptr) ++*hits;
+    });
+    std::vector<std::size_t> every(vs.size());
+    std::iota(every.begin(), every.end(), std::size_t{0});
+    EXPECT_EQ(order, every);
+  };
+
+  std::size_t hits = 0;
+  const PairStore empty;
+  expect_row(empty, 3, {1, 3, 5}, &hits);
+  EXPECT_EQ(hits, 0u);
+
+  const PairStore store = wrapped_store();
+  ASSERT_EQ(store.capacity(), 64u);
+  std::size_t rows = 0;
+  for_each_test_row(store, [&](UserId u, const std::vector<UserId>& vs) {
+    expect_row(store, u, vs, &hits);
+    ++rows;
+  });
+  EXPECT_EQ(rows, 5u * 2u * store.size());
+  // Every row holds its partner at least once.
+  EXPECT_GE(hits, rows);
+}
+
+TEST(SocialIndexModel, ThetaRowMatchesThetaOnFindRowRows) {
+  // The same rows through the model: theta_row's find_row sweep must
+  // give theta()'s find() answers bit for bit, wrapped chains included.
+  PairStore stats = wrapped_store();
+  const PairStore probe = stats;
+  UserTyping typing;
+  typing.num_types = 3;
+  for (UserId u = 0; u < kRowUsers; ++u) typing.type_of_user.push_back(u % 3);
+  typing.centroids.assign(3 * apps::kNumCategories, 0.0);
+  TypeCoLeaveMatrix matrix(3);
+  matrix.set(0, 0, 0.6);
+  matrix.set(0, 1, 0.15);
+  matrix.set(1, 2, 0.35);
+  matrix.set(2, 2, 0.05);
+  SocialModelConfig cfg;
+  cfg.alpha = 0.3;
+  cfg.min_encounters = 2;  // some stored pairs stay below it
+  const SocialIndexModel model = SocialIndexModel::from_parts(
+      cfg, std::move(stats), std::move(typing), std::move(matrix));
+  std::vector<double> out;
+  for_each_test_row(probe, [&](UserId u, const std::vector<UserId>& vs) {
+    out.assign(vs.size(), -1.0);
+    model.theta_row(u, vs, out);
+    for (std::size_t i = 0; i < vs.size(); ++i) {
+      ASSERT_TRUE(out[i] == model.theta(u, vs[i]))
+          << "u=" << u << " v=" << vs[i] << " at " << i;
+    }
+  });
 }
 
 }  // namespace

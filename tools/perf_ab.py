@@ -17,8 +17,11 @@ won (direction from the metric's `better`; ties count for neither), the
 metric's bound and a verdict:
 
     gain          at least 10 pairs ran, the change won at least 9/10
-                  of them and the medians differ by more than the
-                  parent's interquartile range, in the better direction
+                  of them, and the medians differ in the better
+                  direction by more than the parent's interquartile
+                  range and by more than a tenth of the bound times the
+                  parent's median (the minimum effect: a move far
+                  inside the bound is no gain however steady it is)
     worse         the change's median is worse than the parent's by more
                   than the bound
     unresolved    otherwise, when either side's runs spread (max - min)
@@ -104,6 +107,9 @@ def quartiles(values):
     return q[0], q[2]
 
 
+MIN_EFFECT = 0.1  # a gain must move the median by this share of the bound
+
+
 def verdict(parent, change, better, bound):
     """Verdict of one metric from its parent and change runs (paired by
     index); see the module docstring."""
@@ -112,8 +118,9 @@ def verdict(parent, change, better, bound):
     wins = sum(1 for p, c in pairs if sign * (c - p) > 0)
     p_med, c_med = statistics.median(parent), statistics.median(change)
     p_q1, p_q3 = quartiles(parent)
+    min_gap = max(p_q3 - p_q1, MIN_EFFECT * bound * abs(p_med))
     if (len(pairs) >= 10 and 10 * wins >= 9 * len(pairs) and
-            sign * (c_med - p_med) > p_q3 - p_q1):
+            sign * (c_med - p_med) > min_gap):
         return wins, "gain"
     base = abs(p_med) if p_med else 1.0
     if -sign * (c_med - p_med) / base > bound:
