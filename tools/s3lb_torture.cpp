@@ -200,18 +200,20 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < schedules; ++i) {
     const Schedule s = make_schedule(world.network, world.workload, seed, i);
 
-    // Alternate the policy under test: even schedules torture the
-    // paper's S3 selector (social model + clique state in the
-    // checkpoint), odd ones the LLF baseline.
+    // Rotate the policy under test: the paper's S3 selector (social
+    // model + clique state in the checkpoint), the LLF baseline, S3
+    // with a live model, and random. Backups commit the first three's
+    // recorded batches as they are and place random's again (its
+    // draws advance its RNG), so the rotation runs both replay paths.
+    static constexpr const char* kPolicies[] = {"s3", "llf", "s3-online",
+                                                "random"};
     core::SelectorSpec spec;
     spec.net = &world.network;
     spec.llf_metric = core::LoadMetric::kStations;
-    if (i % 2 == 0) {
-      spec.model = &model;
-      spec.base_model = &model;
-    }
+    spec.model = &model;
+    spec.base_model = &model;
     const std::unique_ptr<sim::SelectorFactory> factory =
-        core::make_selector_factory(i % 2 == 0 ? "s3" : "llf", spec);
+        core::make_selector_factory(kPolicies[i % 4], spec);
 
     const fault::FaultInjector injector(s.plan, s.fault_seed);
     repl::ReplicatedDriverConfig rc;
