@@ -50,20 +50,6 @@ BENCHMARK(BM_MaxClique)
     ->Args({32, 60})
     ->Args({64, 60});
 
-void BM_GreedyClique(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const social::WeightedGraph g = random_graph(n, 0.3, 7);
-  // Report solution quality vs the exact solver alongside the speed.
-  const std::size_t exact = social::max_clique(g).vertices.size();
-  const std::size_t greedy = social::greedy_clique(g).vertices.size();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(social::greedy_clique(g));
-  }
-  state.counters["quality"] =
-      static_cast<double>(greedy) / static_cast<double>(exact);
-}
-BENCHMARK(BM_GreedyClique)->Arg(32)->Arg(64);
-
 void BM_CliqueCover(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const social::WeightedGraph g = random_graph(n, 0.3, 11);

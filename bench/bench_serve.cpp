@@ -5,9 +5,10 @@
 // window of active sessions in its own id space: each iteration places
 // one arrival and departs its oldest session once the window is full,
 // so the run continuously exercises placement, the load tracker, the
-// degradation path and the live encounter/co-leave writes into the
-// shared ConcurrentPairStore — while every S3 placement reads θ rows
-// from the same store lock-free.
+// degradation path and the live encounter/co-leave writes into each
+// domain's learner. Workers hit random domains, so they contend on the
+// domain locks under which every S3 placement reads its domain's θ
+// rows and every departure writes them.
 //
 // For each thread count (default 1, 8, 32) the bench reports p50 /
 // p95 / p99 ns per placement (measured per call, merged across

@@ -5,9 +5,8 @@
 // social relationships formed *after* training (a new semester's
 // classes) start influencing placement within days.
 //
-// The learner is social::LiveSocialModel over the single-owner
-// PairStore, fed by a social::PresenceTable — the same model the serve
-// plane runs over its concurrent store.
+// The learner is a social::LiveSocialModel fed by a
+// social::PresenceTable — the pair each serve domain learns with too.
 #pragma once
 
 #include <memory>
@@ -77,7 +76,7 @@ class OnlineS3Selector final : public sim::ApSelector {
     return std::unique_ptr<sim::ApSelector>(new OnlineS3Selector(*this));
   }
 
-  const social::LiveSocialModel<social::PairStore>& model() const noexcept {
+  const social::LiveSocialModel& model() const noexcept {
     return model_;
   }
 
@@ -89,7 +88,7 @@ class OnlineS3Selector final : public sim::ApSelector {
         presence_(other.presence_),
         inner_(other.inner_, &model_) {}
 
-  social::LiveSocialModel<social::PairStore> model_;
+  social::LiveSocialModel model_;
   social::PresenceTable presence_;
   S3Selector inner_;
 };

@@ -86,6 +86,24 @@ std::uint64_t fold_batch(std::span<const sim::Arrival> batch,
   return h;
 }
 
+/// Whether `recorded` can be committed for `batch`: one placement per
+/// arrival and, for a record applied without a re-run, each placement
+/// among its arrival's candidates, pruned of dead APs (so also an AP of
+/// the network). A re-run record is only compared, never committed.
+bool record_fits(std::span<const sim::Arrival> batch,
+                 const sim::BatchResult& recorded) {
+  if (recorded.placements.size() != batch.size()) return false;
+  if (!recorded.replayable) return true;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const std::vector<ApId>& heard = batch[i].candidates;
+    if (std::find(heard.begin(), heard.end(), recorded.placements[i]) ==
+        heard.end()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 ControllerEngine::ControllerEngine(const wlan::Network& net,
@@ -383,10 +401,10 @@ void ControllerEngine::flush_batch(const sim::BatchResult* recorded,
     }
   }
 
-  if (recorded != nullptr && recorded->placements.size() != batch_.size()) {
+  if (recorded != nullptr && !record_fits(batch_, *recorded)) {
     // The record does not fit this batch: commit nothing. The batch
-    // stays pending and the fold covers the record's size, so the step
-    // digest differs from the one the record carries.
+    // stays pending and the fold covers the record, so the step digest
+    // differs from the one the record carries.
     last_batch_digest_ = fold_batch(batch_, *recorded);
     return;
   }

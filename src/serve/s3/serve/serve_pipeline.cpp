@@ -25,21 +25,16 @@ util::Histogram* place_ns_histogram() {
 ServePipeline::ServePipeline(const wlan::Network* net,
                              const social::SocialIndexModel* base,
                              ServeConfig config)
-    : net_(net),
-      config_(std::move(config)),
-      shared_(base, config_.expected_live_pairs) {
+    : net_(net), base_(base), config_(std::move(config)) {
   S3_REQUIRE(net_ != nullptr, "ServePipeline: null network");
+  S3_REQUIRE(base_ != nullptr, "ServePipeline: null base model");
+  // No spec.base_model: a policy that keeps its own learner ("s3-online")
+  // is refused, since every domain already learns below.
   core::SelectorSpec spec;
   spec.llf_metric = config_.llf_metric;
   spec.random_seed = config_.random_seed;
   spec.net = net_;
-  spec.model = &shared_;
-  spec.base_model = base;
   spec.s3 = config_.s3;
-  spec.online.s3 = config_.s3;
-  spec.online.co_leave_window = config_.co_leave_window;
-  spec.online.min_encounter_overlap = config_.min_encounter_overlap;
-  const auto factory = core::make_selector_factory(config_.policy, spec);
   {
     social::CliqueMaintainerConfig mc;
     mc.theta_threshold = config_.s3.theta_threshold;
@@ -47,14 +42,16 @@ ServePipeline::ServePipeline(const wlan::Network* net,
     util::MutexLock social(social_.mu);
     social_.view = social::CliqueMaintainer(0, mc);
   }
-  user_ap_ = std::vector<std::atomic<ApId>>(shared_.num_users());
+  user_ap_ = std::vector<std::atomic<ApId>>(base_->num_users());
   for (std::atomic<ApId>& slot : user_ap_) {
     slot.store(kInvalidAp, std::memory_order_relaxed);
   }
   domains_.reserve(net_->num_controllers());
   for (ControllerId c = 0; c < net_->num_controllers(); ++c) {
-    auto d = std::make_unique<Domain>(config_);
-    d->selector = factory->create(c);
+    auto d = std::make_unique<Domain>(base_, config_);
+    util::MutexLock hold(d->mu);
+    spec.model = &d->model;
+    d->selector = core::make_selector_factory(config_.policy, spec)->create(c);
     d->tracker = std::make_unique<sim::ApLoadTracker>(*net_);
     domains_.push_back(std::move(d));
   }
@@ -105,8 +102,7 @@ PlaceResult ServePipeline::place(const PlaceRequest& req) {
   Domain& d = *domains_[domain_id];
   {
     util::MutexLock hold(d.mu);
-    if (d.selector->uses_social_model() &&
-        req.user >= shared_.num_users()) {
+    if (d.selector->uses_social_model() && req.user >= base_->num_users()) {
       rejected_unknown_user_.fetch_add(1, std::memory_order_relaxed);
       registry_.cancel(req.id);
       result.rejection = PlaceRejection::kUnknownUser;
@@ -134,15 +130,11 @@ PlaceResult ServePipeline::place(const PlaceRequest& req) {
     d.tracker->associate(arrival.session_index, ap, req.user,
                          req.demand_mbps);
     d.selector->on_associate(arrival, ap);
+    // Before the commit below: a depart() can only race us after it,
+    // and it expects the presence entry to exist.
+    d.presence.arrive(ap, arrival.session_index, req.user, req.when);
   }
 
-  // Presence must be visible before the session id is committed: a
-  // depart() can only race us after the commit, and it expects the
-  // presence entry to exist.
-  {
-    util::MutexLock hold(d.presence_mu);
-    d.presence.arrive(result.ap, arrival.session_index, req.user, req.when);
-  }
   LiveSession session;
   session.session_index = arrival.session_index;
   session.user = req.user;
@@ -183,16 +175,8 @@ bool ServePipeline::depart(std::uint64_t id, util::SimTime when) {
     util::MutexLock hold(d.mu);
     d.tracker->disconnect(s->session_index, s->ap);
     d.selector->on_disconnect(s->session_index, s->user, s->ap, when);
+    d.model.learn(d.presence.depart(s->ap, s->session_index, when));
   }
-
-  // The presence table reports who was met; the shared model learns
-  // the events outside both the domain and the presence lock.
-  social::DepartureEvents events;
-  {
-    util::MutexLock hold(d.presence_mu);
-    events = d.presence.depart(s->ap, s->session_index, when);
-  }
-  shared_.learn(events);
 
   if (s->user < user_ap_.size()) {
     user_ap_[s->user].store(kInvalidAp, std::memory_order_relaxed);
@@ -202,12 +186,33 @@ bool ServePipeline::depart(std::uint64_t id, util::SimTime when) {
   return true;
 }
 
+std::size_t ServePipeline::CampusModel::updated_pairs() const {
+  std::size_t n = 0;
+  for (const std::unique_ptr<Domain>& d : pipeline_->domains_) {
+    util::MutexLock hold(d->mu);
+    n += d->model.updated_pairs();
+  }
+  return n;
+}
+
+social::LiveSocialModel ServePipeline::CampusModel::merged() const {
+  // The summed count bounds the merge's size, so it never rehashes
+  // unless a domain learns meanwhile.
+  social::LiveSocialModel campus(pipeline_->base_, updated_pairs());
+  for (const std::unique_ptr<Domain>& d : pipeline_->domains_) {
+    util::MutexLock hold(d->mu);
+    campus.absorb(d->model);
+  }
+  return campus;
+}
+
 SocialSnapshot ServePipeline::social_snapshot() {
   util::MutexLock hold(social_.mu);
   SocialSnapshot out;
-  out.incremental = social_.view.sync(shared_);
+  // The merge is dropped before the cover is solved.
+  out.incremental = social_.view.sync(model().merged());
   const social::CliqueCoverResult& cover = social_.view.cover();
-  out.users = shared_.num_users();
+  out.users = base_->num_users();
   out.exact = cover.exact;
   out.cover_version = social_.view.cover_version();
   for (const std::vector<std::size_t>& members : cover.cliques) {

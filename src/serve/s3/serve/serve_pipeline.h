@@ -5,21 +5,20 @@
 // happen, instead of replaying a recorded workload. Structure mirrors
 // the paper's deployment (§V-A): one controller per building group,
 // controllers fully independent. Each domain owns a policy instance, a
-// load tracker, and a degradation state machine, guarded by one
-// per-domain mutex — so placements in different domains run fully in
-// parallel, and every domain's θ lookups go through one shared
-// social::LiveSocialModel over a ConcurrentPairStore, whose reads are
-// lock-free. The presence state for online encounter/co-leave
-// detection lives in a per-domain social::PresenceTable behind its own
-// lock, so event detection never extends the placement lock's critical
-// section.
+// load tracker, a degradation state machine and its own learner — a
+// social::LiveSocialModel over the shared frozen base, fed by a
+// social::PresenceTable — all guarded by one per-domain mutex. A
+// domain's θ therefore depends only on its own event stream, as in
+// sharded S3-online replay, and placements in different domains run
+// fully in parallel without sharing any social state. The `social`
+// verb and model() read a campus view over the domains' learners.
 //
 // Threading contract: place() and depart() are safe from any number of
 // threads. Callers bring their own concurrency (the stdin driver is
 // sequential; bench_serve shards domains across workers). Calls for
-// the same domain serialize on the domain mutex; the shared social
-// store serializes only per hash bucket and the session registry per
-// id shard. No process-wide lock sits on the place/depart path.
+// the same domain serialize on the domain mutex, and the session
+// registry serializes only per id shard. No process-wide lock sits on
+// the place/depart path.
 //
 // The fault machinery is reused unchanged from replay: an optional
 // FaultInjector prunes dead APs from candidate sets, and
@@ -51,8 +50,9 @@
 namespace s3::serve {
 
 struct ServeConfig {
-  /// Any policy registered with core::make_selector_factory. "s3" runs
-  /// over the shared live model; baselines ignore it.
+  /// Any policy registered with core::make_selector_factory that needs
+  /// no base model of its own (so not "s3-online": every domain already
+  /// learns). "s3" reads its domain's live model; baselines ignore it.
   std::string policy = "s3";
   wlan::RadioModel radio{};
   core::S3Config s3{};
@@ -63,8 +63,6 @@ struct ServeConfig {
   util::SimTime min_encounter_overlap = util::SimTime::from_minutes(10);
   /// Optional fault schedule; must outlive the pipeline.
   const fault::FaultInjector* injector = nullptr;
-  /// Pre-size hint for the live pair store.
-  std::size_t expected_live_pairs = 0;
 };
 
 /// One association request from the outside world.
@@ -94,12 +92,12 @@ struct PlaceResult {
 };
 
 /// Monitoring view of the live social structure: the maintained clique
-/// cover of the θ-graph over the shared model, plus how much of its
+/// cover of the θ-graph over the campus model, plus how much of its
 /// social mass current placements keep together. Served by
 /// ServePipeline::social_snapshot() (the `social` protocol verb)
 /// without rebuilding the graph: the pipeline's CliqueMaintainer
-/// re-applies the live pairs and re-solves only the components whose
-/// edges moved.
+/// re-applies the merged live pairs and re-solves only the components
+/// whose edges moved.
 struct SocialSnapshot {
   std::size_t users = 0;
   std::size_t cliques = 0;     ///< multi-member cliques in the cover
@@ -150,10 +148,27 @@ class ServePipeline {
   /// for ids that are not active.
   bool depart(std::uint64_t id, util::SimTime when);
 
-  const social::LiveSocialModel<social::ConcurrentPairStore>& model()
-      const noexcept {
-    return shared_;
-  }
+  /// Campus-wide view of the per-domain learners; cheap to take.
+  class CampusModel {
+   public:
+    /// Live pairs summed over domains, each domain read under its lock:
+    /// O(domains). A pair learned in two domains counts twice, so this
+    /// bounds merged().updated_pairs() from above.
+    std::size_t updated_pairs() const;
+
+    /// A model over the shared base that absorbs every domain's live
+    /// counts, taking one domain lock at a time. Its θ is the base
+    /// plus, per pair, the sum of every domain's increments. Costs
+    /// O(live pairs) time and memory per call.
+    social::LiveSocialModel merged() const;
+
+   private:
+    friend class ServePipeline;
+    explicit CampusModel(const ServePipeline* pipeline) noexcept
+        : pipeline_(pipeline) {}
+    const ServePipeline* pipeline_;
+  };
+  CampusModel model() const noexcept { return CampusModel(this); }
   const wlan::Network& network() const noexcept { return *net_; }
   std::size_t num_domains() const noexcept { return domains_.size(); }
 
@@ -164,9 +179,9 @@ class ServePipeline {
 
   /// Current social structure (see SocialSnapshot). Thread-safe; the
   /// first call seeds the maintained θ-graph from the trained model's
-  /// recorded pairs, and every call re-applies θ for each live pair
-  /// and re-solves only dirty components. Placements never wait on it;
-  /// departures wait only while the live pairs are copied out.
+  /// recorded pairs, and every call re-applies θ for each pair of
+  /// model().merged() and re-solves only dirty components. A domain's
+  /// calls wait only while its live pairs are absorbed.
   SocialSnapshot social_snapshot();
 
   /// Degradation state of `domain`; takes that domain's lock.
@@ -174,22 +189,23 @@ class ServePipeline {
 
  private:
   struct Domain {
-    explicit Domain(const ServeConfig& config)
-        : presence(config.co_leave_window, config.min_encounter_overlap) {}
+    Domain(const social::SocialIndexModel* base, const ServeConfig& config)
+        : model(base),
+          presence(config.co_leave_window, config.min_encounter_overlap) {}
     mutable util::Mutex mu;
     std::unique_ptr<sim::ApSelector> selector S3_GUARDED_BY(mu);
     std::unique_ptr<sim::ApLoadTracker> tracker S3_GUARDED_BY(mu);
     fault::DegradationTracker degradation S3_GUARDED_BY(mu);
-    /// Online event detection, behind its own lock so it never extends
-    /// the placement lock's critical section (an AP belongs to exactly
-    /// one domain, so presence never crosses tables).
-    util::Mutex presence_mu;
-    social::PresenceTable presence S3_GUARDED_BY(presence_mu);
+    /// The domain's learner: the selector reads `model`, and departures
+    /// feed it the events `presence` detects (an AP belongs to exactly
+    /// one domain, so presence never crosses domains).
+    social::LiveSocialModel model S3_GUARDED_BY(mu);
+    social::PresenceTable presence S3_GUARDED_BY(mu);
   };
 
   const wlan::Network* net_;
+  const social::SocialIndexModel* base_;
   ServeConfig config_;
-  social::LiveSocialModel<social::ConcurrentPairStore> shared_;
   std::vector<std::unique_ptr<Domain>> domains_;
   /// id -> live session, sharded (see SessionRegistry's protocol).
   SessionRegistry registry_;

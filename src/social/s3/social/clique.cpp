@@ -410,13 +410,6 @@ CliqueResult counted_extract(CliqueExtractor& extractor) {
   return result;
 }
 
-/// v's neighbours as a bitset over the graph's vertices.
-Bitset neighbor_bits(const WeightedGraph& g, std::size_t v) {
-  Bitset bits(g.size());
-  for (const Neighbor& nb : g.neighbors(v)) bits.set(nb.id);
-  return bits;
-}
-
 }  // namespace
 
 std::vector<std::size_t> greedy_coloring(const WeightedGraph& g) {
@@ -431,58 +424,6 @@ CliqueResult max_clique(const WeightedGraph& g, const CliqueConfig& config) {
   ResidualGraph residual(g);
   CliqueExtractor extractor(residual, config);
   return counted_extract(extractor);
-}
-
-CliqueResult greedy_clique(const WeightedGraph& g) {
-  CliqueResult result;
-  const std::size_t n = g.size();
-  if (n == 0) return result;
-
-  // Seed: highest degree, weight-sum tie-break.
-  std::size_t seed = 0;
-  double seed_weight = -1.0;
-  for (std::size_t v = 0; v < n; ++v) {
-    double w = 0.0;
-    for (const Neighbor& nb : g.neighbors(v)) w += nb.weight;
-    if (g.degree(v) > g.degree(seed) ||
-        (g.degree(v) == g.degree(seed) && w > seed_weight)) {
-      seed = v;
-      seed_weight = w;
-    }
-  }
-
-  std::vector<std::size_t> clique{seed};
-  Bitset candidates = neighbor_bits(g, seed);
-  while (candidates.any()) {
-    // Pick the candidate with the most neighbours among the remaining
-    // candidates (it keeps the most options open), weight tie-break.
-    std::size_t best = n;
-    std::size_t best_deg = 0;
-    double best_w = -1.0;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!candidates.test(v)) continue;
-      std::size_t deg = 0;
-      for (const Neighbor& nb : g.neighbors(v)) {
-        if (candidates.test(nb.id)) ++deg;
-      }
-      double w = 0.0;
-      for (std::size_t u : clique) w += g.weight(u, v);
-      if (best == n || deg > best_deg ||
-          (deg == best_deg && w > best_w)) {
-        best = v;
-        best_deg = deg;
-        best_w = w;
-      }
-    }
-    clique.push_back(best);
-    candidates &= neighbor_bits(g, best);
-  }
-  std::sort(clique.begin(), clique.end());
-  result.internal_weight = g.internal_weight(clique);
-  result.vertices = std::move(clique);
-  result.nodes_explored = n;
-  result.exact = false;  // heuristic: no optimality guarantee
-  return result;
 }
 
 CliqueCoverResult clique_cover(const WeightedGraph& g,

@@ -64,12 +64,4 @@ struct CliqueCoverResult {
 CliqueCoverResult clique_cover(const WeightedGraph& g,
                                const CliqueConfig& config = {});
 
-/// Greedy maximal-clique heuristic: seed with the highest-degree
-/// vertex, then repeatedly add the candidate with the most neighbours
-/// inside the shrinking candidate set (weight-sum tie-break). O(n²)
-/// per clique; never exceeds the exact solver's size but is orders of
-/// magnitude cheaper — `bench_micro_components` quantifies the
-/// quality/speed trade-off that justified shipping the exact solver.
-CliqueResult greedy_clique(const WeightedGraph& g);
-
 }  // namespace s3::social

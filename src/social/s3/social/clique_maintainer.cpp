@@ -57,8 +57,7 @@ void CliqueMaintainer::reset_from(const ThetaProvider& model) {
   ++stats_.reseeds;
 }
 
-template <typename Store>
-bool CliqueMaintainer::sync(const LiveSocialModel<Store>& model) {
+bool CliqueMaintainer::sync(const LiveSocialModel& model) {
   const bool seeded = seeded_ && adj_.size() == model.num_users();
   if (!seeded) reset_from(model.base());
   model.for_each_live_theta([this](UserPair pair, double theta) {
@@ -67,10 +66,6 @@ bool CliqueMaintainer::sync(const LiveSocialModel<Store>& model) {
   });
   return seeded;
 }
-
-template bool CliqueMaintainer::sync(const LiveSocialModel<PairStore>&);
-template bool CliqueMaintainer::sync(
-    const LiveSocialModel<ConcurrentPairStore>&);
 
 void CliqueMaintainer::set_theta(UserId u, UserId v, double theta) {
   S3_REQUIRE(u < adj_.size() && v < adj_.size(),

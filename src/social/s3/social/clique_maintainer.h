@@ -81,8 +81,7 @@ class CliqueMaintainer {
   /// call (or a population change) seeds from model.base() through
   /// reset_from; every call then re-applies θ for every live pair.
   /// Returns false when this call seeded.
-  template <typename Store>
-  bool sync(const LiveSocialModel<Store>& model);
+  bool sync(const LiveSocialModel& model);
 
   /// Point mutation: θ(u, v) is now `theta`. Inserts, removes, or
   /// re-weights the edge as the strict threshold rule dictates;

@@ -3,8 +3,7 @@
 // list per vertex, sorted by id, with each edge weight beside its id.
 // Memory is O(vertices + edges): the paper-scale θ ≥ 0.3 graph (12,374
 // users, 245,335 edges) takes 10.7 MB of heap, where an n × n weight
-// matrix took 1.2 GB. Also here: the fixed-size Bitset that greedy_clique and
-// the clique tests use, and the ThetaDelta change-feed record of
+// matrix took 1.2 GB. Also here: the ThetaDelta change-feed record of
 // ThetaProvider's optional feed interface.
 #pragma once
 
@@ -63,79 +62,6 @@ struct ThetaDelta {
 struct ThetaDeltaPoll {
   std::uint64_t cursor = 0;
   bool complete = true;
-};
-
-/// Fixed-capacity bitset sized at construction; supports the set
-/// operations of greedy_clique's candidate sets.
-class Bitset {
- public:
-  Bitset() = default;
-  explicit Bitset(std::size_t bits)
-      : bits_(bits), words_((bits + 63) / 64, 0) {}
-
-  std::size_t capacity() const noexcept { return bits_; }
-
-  void set(std::size_t i) {
-    S3_REQUIRE(i < bits_, "Bitset::set out of range");
-    words_[i >> 6] |= (std::uint64_t{1} << (i & 63));
-  }
-  void reset(std::size_t i) {
-    S3_REQUIRE(i < bits_, "Bitset::reset out of range");
-    words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
-  }
-  bool test(std::size_t i) const {
-    S3_REQUIRE(i < bits_, "Bitset::test out of range");
-    return (words_[i >> 6] >> (i & 63)) & 1u;
-  }
-
-  bool any() const noexcept {
-    for (std::uint64_t w : words_) {
-      if (w) return true;
-    }
-    return false;
-  }
-
-  std::size_t count() const noexcept {
-    std::size_t n = 0;
-    for (std::uint64_t w : words_) n += static_cast<std::size_t>(__builtin_popcountll(w));
-    return n;
-  }
-
-  /// Lowest set bit, or capacity() if none.
-  std::size_t first() const noexcept {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      if (words_[w]) {
-        return (w << 6) +
-               static_cast<std::size_t>(__builtin_ctzll(words_[w]));
-      }
-    }
-    return bits_;
-  }
-
-  /// Calls fn(i) for every set bit i, in ascending order.
-  template <class Fn>
-  void for_each_set(Fn&& fn) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
-        fn((w << 6) + static_cast<std::size_t>(__builtin_ctzll(bits)));
-      }
-    }
-  }
-
-  Bitset& operator&=(const Bitset& o) {
-    S3_REQUIRE(bits_ == o.bits_, "Bitset: size mismatch");
-    for (std::size_t w = 0; w < words_.size(); ++w) words_[w] &= o.words_[w];
-    return *this;
-  }
-
-  friend Bitset operator&(Bitset a, const Bitset& b) {
-    a &= b;
-    return a;
-  }
-
- private:
-  std::size_t bits_ = 0;
-  std::vector<std::uint64_t> words_;
 };
 
 /// One entry of a neighbour list: the neighbour's id and the weight of

@@ -11,15 +11,11 @@
 // the Table-I matrix stay fixed; the pair-history term is where
 // freshness pays.
 //
-// The live counters sit in `Store`, one of two tables with the same
-// update(pair, fn, init_if_new) / find / sorted_entries surface:
-//
-//   * PairStore — single-owner open addressing. S3-online replay
-//     (OnlineS3Selector) uses it: every selector clone copies its
-//     model, and the flat table keeps those copies small.
-//   * ConcurrentPairStore — lock-free reads, per-bucket writers. The
-//     serve plane (ServePipeline) uses it: many controller threads read
-//     θ while departures on any domain write counters.
+// The live counters sit in a single-owner PairStore. Every learner —
+// an S3-online replay domain (OnlineS3Selector) and a serve domain
+// (ServePipeline) — owns one model and mutates it under its owner's
+// lock; a campus-wide view is a fresh model that absorb()s each
+// domain's.
 //
 // A counter write is one store update plus one bump of a write
 // counter, which read_epoch() reports. The model keeps no change log:
@@ -30,19 +26,16 @@
 // without a feed.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <span>
 
-#include "s3/social/concurrent_pair_store.h"
 #include "s3/social/pair_store.h"
 #include "s3/social/presence_table.h"
 #include "s3/social/social_index.h"
 
 namespace s3::social {
 
-template <typename Store>
 class LiveSocialModel final : public ThetaProvider {
  public:
   /// `base` must outlive the model. `expected_live_pairs` pre-sizes the
@@ -52,35 +45,36 @@ class LiveSocialModel final : public ThetaProvider {
 
   double theta(UserId u, UserId v) const override;
 
-  /// One flat pass over the base model's row, then the live counters
-  /// patched on top (a find_row sweep over PairStore, per-pair finds
-  /// over ConcurrentPairStore). Bit-identical to the scalar path.
+  /// One flat pass over the base model's row, then one find_row sweep
+  /// patching the live counters on top. Bit-identical to the scalar
+  /// path.
   void theta_row(UserId u, std::span<const UserId> vs,
                  std::span<double> out) const override;
 
   std::size_t num_users() const override { return base_->num_users(); }
 
   /// Counter writes so far.
-  std::uint64_t read_epoch() const noexcept override {
-    return writes_.n.load(std::memory_order_acquire);
-  }
+  std::uint64_t read_epoch() const noexcept override { return writes_; }
 
   /// The trained model the live counters continue.
   const SocialIndexModel& base() const noexcept { return *base_; }
 
   /// Calls fn(pair, θ) for every pair with live counters, in ascending
   /// pair order. θ goes through theta()'s expression, so it equals
-  /// theta(pair.a, pair.b) bit for bit. Over ConcurrentPairStore this
-  /// reads sorted_entries(), a quiesced copy that briefly holds up
-  /// counter writes but not θ reads.
+  /// theta(pair.a, pair.b) bit for bit.
   void for_each_live_theta(
       const std::function<void(UserPair, double)>& fn) const;
 
   /// Counts one departure's events (PresenceTable::depart): an
   /// encounter with every peer in `events.encountered`, then a co-leave
-  /// with every peer in `events.co_left`. Safe from any thread when
-  /// `Store` is ConcurrentPairStore.
+  /// with every peer in `events.co_left`.
   void learn(const DepartureEvents& events);
+
+  /// Adds what `other` learned: each of its live pairs' counts minus
+  /// the base counts they were seeded from, and its write count. Both
+  /// models must continue the same base. Sums commute, so absorbing
+  /// models in any order gives the same counters.
+  void absorb(const LiveSocialModel& other);
 
   /// Pairs whose statistics changed since training.
   std::size_t updated_pairs() const noexcept { return live_.size(); }
@@ -95,14 +89,6 @@ class LiveSocialModel final : public ThetaProvider {
   SocialIndexModel checkpoint() const;
 
  private:
-  /// Copyable so a cloned single-owner model keeps its count.
-  struct WriteCount {
-    WriteCount() = default;
-    WriteCount(const WriteCount& other)
-        : n(other.n.load(std::memory_order_relaxed)) {}
-    std::atomic<std::uint64_t> n{0};
-  };
-
   /// The base model's type of `u`; 0 when it has no types.
   std::size_t type_of(UserId u) const;
   /// θ(u, v) from the pair's live counters, given type_of(u).
@@ -114,11 +100,8 @@ class LiveSocialModel final : public ThetaProvider {
   void bump(UserId u, UserId v, Fn&& fn);
 
   const SocialIndexModel* base_;
-  Store live_;
-  WriteCount writes_;
+  PairStore live_;
+  std::uint64_t writes_ = 0;
 };
-
-extern template class LiveSocialModel<PairStore>;
-extern template class LiveSocialModel<ConcurrentPairStore>;
 
 }  // namespace s3::social

@@ -111,8 +111,7 @@ class PairStore {
 
   /// Applies fn(Stats&) to the pair's counters, creating them first if
   /// absent: zero-initialized, or copied from `init_if_new` when given.
-  /// Returns true when the pair was new. The same entry point as
-  /// ConcurrentPairStore::update, so code can be generic over both.
+  /// Returns true when the pair was new.
   template <typename Fn>
   bool update(UserPair p, Fn&& fn, const Stats* init_if_new = nullptr) {
     if (Stats* hit = find(p)) {

@@ -4,9 +4,10 @@
 //
 // The table only detects events; a departure reports the peers it met
 // and LiveSocialModel::learn counts them. OnlineS3Selector owns one
-// table for everything it replays. ServePipeline keeps one per domain
-// behind its own mutex (an AP belongs to exactly one domain, so
-// presence never crosses tables). The table itself is single-threaded.
+// table for everything it replays. ServePipeline keeps one per domain,
+// beside that domain's model under the domain lock (an AP belongs to
+// exactly one domain, so presence never crosses tables). The table
+// itself is single-threaded.
 #pragma once
 
 #include <cstdint>

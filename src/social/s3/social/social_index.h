@@ -55,10 +55,9 @@ struct SocialModelConfig {
 /// theta_row() safe to call concurrently with each other from any
 /// number of threads. Whether reads may also race with *mutations* is
 /// implementation-specific — SocialIndexModel is immutable after
-/// train/from_parts, LiveSocialModel<PairStore> assumes a single owning
-/// thread, and LiveSocialModel<ConcurrentPairStore> supports fully
-/// concurrent lock-free reads against live counter updates.
-/// read_epoch() lets a caller tell which regime it observed.
+/// train/from_parts, and LiveSocialModel assumes a single owner that
+/// serializes its reads with its writes. read_epoch() lets a caller
+/// tell which regime it observed.
 class ThetaProvider {
  public:
   virtual ~ThetaProvider() = default;

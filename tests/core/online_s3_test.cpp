@@ -30,7 +30,7 @@ struct OnlineLearner {
     model.learn(presence.depart(ap, session, when));
   }
 
-  social::LiveSocialModel<social::PairStore> model;
+  social::LiveSocialModel model;
   social::PresenceTable presence;
 };
 
@@ -48,7 +48,7 @@ social::SocialIndexModel empty_model(std::size_t n, double alpha = 0.3) {
 
 TEST(OnlineSocialModel, StartsAtBaseTheta) {
   const auto base = empty_model(4);
-  const social::LiveSocialModel<social::PairStore> online(&base);
+  const social::LiveSocialModel online(&base);
   EXPECT_DOUBLE_EQ(online.theta(0, 1), base.theta(0, 1));
   EXPECT_DOUBLE_EQ(online.theta(2, 2), 0.0);
   EXPECT_EQ(online.updated_pairs(), 0u);
@@ -153,6 +153,58 @@ TEST(OnlineSocialModel, CheckpointPersistsLiveLearning) {
   EXPECT_EQ(frozen.pair_stats().size(), 1u);
   // Typing carried over.
   EXPECT_EQ(frozen.typing().num_types, base.typing().num_types);
+}
+
+// absorb() adds what another model learned on top of the shared base:
+// a pair with trained history learned in two models, a pair without
+// history learned in two models, and the first absorb into an empty
+// model, which copies the other's counts. The merge equals one model
+// fed every event.
+TEST(LiveSocialModel, AbsorbAddsEachModelsIncrements) {
+  social::SocialModelConfig cfg;
+  cfg.alpha = 0.0;
+  analysis::PairStatsMap stats;
+  stats[UserPair(0, 1)] = {3, 3, 0};
+  social::UserTyping typing;
+  typing.num_types = 1;
+  typing.type_of_user.assign(4, 0);
+  const auto base = social::SocialIndexModel::from_parts(
+      cfg, std::move(stats), std::move(typing), social::TypeCoLeaveMatrix(1));
+  const auto events = [](UserId user, std::vector<UserId> met,
+                         std::vector<UserId> left) {
+    social::DepartureEvents ev;
+    ev.user = user;
+    ev.encountered = std::move(met);
+    ev.co_left = std::move(left);
+    return ev;
+  };
+
+  social::LiveSocialModel a(&base);
+  social::LiveSocialModel b(&base);
+  social::LiveSocialModel all(&base);
+  for (const auto& ev : {events(0, {1}, {1}), events(2, {3}, {3})}) {
+    a.learn(ev);
+    all.learn(ev);
+  }
+  for (const auto& ev : {events(1, {0}, {}), events(3, {2}, {})}) {
+    b.learn(ev);
+    all.learn(ev);
+  }
+
+  social::LiveSocialModel campus(&base);
+  campus.absorb(a);
+  EXPECT_EQ(campus.state_digest(), a.state_digest());
+  EXPECT_EQ(campus.read_epoch(), a.read_epoch());
+  campus.absorb(b);
+  EXPECT_EQ(campus.state_digest(), all.state_digest());
+  EXPECT_EQ(campus.read_epoch(), all.read_epoch());
+  EXPECT_EQ(campus.updated_pairs(), 2u);
+  EXPECT_DOUBLE_EQ(campus.theta(0, 1), 4.0 / 5.0);  // 3/3, then +1/1, +0/1
+  EXPECT_DOUBLE_EQ(campus.theta(2, 3), 1.0 / 2.0);  // +1/1, +0/1
+
+  const auto other = empty_model(4);
+  EXPECT_THROW(campus.absorb(social::LiveSocialModel(&other)),
+               std::invalid_argument);
 }
 
 TEST(OnlineS3Selector, BehavesLikeS3WithoutEvents) {

@@ -1,10 +1,8 @@
-// s3::serve — live pipeline and its live social model.
+// s3::serve — live pipeline and its per-domain learners.
 //
-// The anchor test proves the store changes nothing semantically: a
-// ServePipeline's live event detection drives its
-// LiveSocialModel<ConcurrentPairStore> to bit-identical θ values with
-// the LiveSocialModel<PairStore> that S3-online replay runs, fed the
-// same association events.
+// The anchor test proves the campus view adds nothing of its own: each
+// domain learns from its own events, and model().merged() equals one
+// LiveSocialModel fed every domain's events bit for bit.
 
 #include <algorithm>
 #include <atomic>
@@ -111,22 +109,28 @@ TEST(ServePipeline, RejectsUnknownUserUnderSocialPolicy) {
   EXPECT_TRUE(q.place(request(1, unknown, 0, 0)).placed);
 }
 
-// The store equivalence: pipeline-detected encounters/co-leavings must
-// update the concurrent-store model to the exact θ the single-owner
-// store computes from the same events. The pipeline runs the "rssi"
-// policy so AP choice is deterministic and model-independent; every
-// committed (session, user, ap, t) event is mirrored into a
-// PresenceTable feeding a LiveSocialModel<PairStore>, then θ is
-// compared bit for bit over all pairs, and the two live-pair visitors
-// entry for entry.
-TEST(LiveSocialModel, BitIdenticalAcrossStoresOnSameEvents) {
+// The campus view: each domain learns from its own presence table, so
+// model().merged() must equal one LiveSocialModel fed every domain's
+// events (one PresenceTable per domain) bit for bit — θ over all pairs,
+// theta_row and the live-pair visitor. The pipeline runs the "rssi"
+// policy so AP choice is deterministic and model-independent.
+// model().updated_pairs() sums the domains; it must exceed the merge's
+// count, i.e. some pair was learned in both domains, or the merge
+// would never add two domains' counts.
+TEST(ServePipeline, CampusModelMergesDomainLearners) {
   const World& w = world();
+  const wlan::Network& net = w.gen.network;
   ServeConfig cfg;
   cfg.policy = "rssi";
-  ServePipeline pipeline(&w.gen.network, &w.model, cfg);
-  social::LiveSocialModel<social::PairStore> online(&w.model);
-  social::PresenceTable presence(cfg.co_leave_window,
-                                 cfg.min_encounter_overlap);
+  ServePipeline pipeline(&net, &w.model, cfg);
+  ASSERT_EQ(pipeline.num_domains(), 2U);
+  social::LiveSocialModel reference(&w.model);
+  std::vector<social::LiveSocialModel> domain_models;
+  std::vector<social::PresenceTable> presence;
+  for (std::size_t d = 0; d < pipeline.num_domains(); ++d) {
+    domain_models.emplace_back(&w.model);
+    presence.emplace_back(cfg.co_leave_window, cfg.min_encounter_overlap);
+  }
 
   struct Live {
     UserId user;
@@ -141,8 +145,8 @@ TEST(LiveSocialModel, BitIdenticalAcrossStoresOnSameEvents) {
     return rng;
   };
 
-  // Random arrive/depart schedule: long stays on few APs so plenty of
-  // encounter-grade overlaps and co-leavings fire.
+  // Random arrive/depart schedule over both buildings: long stays on
+  // few APs so plenty of encounter-grade overlaps and co-leavings fire.
   std::int64_t now = 0;
   std::uint64_t next_id = 1;
   for (int step = 0; step < 4000; ++step) {
@@ -152,7 +156,11 @@ TEST(LiveSocialModel, BitIdenticalAcrossStoresOnSameEvents) {
       const auto victim =
           std::next(active.begin(),
                     static_cast<std::ptrdiff_t>(next() % active.size()));
-      online.learn(presence.depart(victim->second.ap, victim->first, t));
+      const ControllerId d = net.controller_of_ap(victim->second.ap);
+      const social::DepartureEvents events =
+          presence[d].depart(victim->second.ap, victim->first, t);
+      reference.learn(events);
+      domain_models[d].learn(events);
       ASSERT_TRUE(pipeline.depart(victim->first, t));
       active.erase(victim);
     } else {
@@ -161,57 +169,59 @@ TEST(LiveSocialModel, BitIdenticalAcrossStoresOnSameEvents) {
       const BuildingId b = static_cast<BuildingId>(next() % 2);
       const PlaceResult r = pipeline.place(request(id, user, b, now));
       ASSERT_TRUE(r.placed);
-      presence.arrive(r.ap, id, user, t);
+      presence[net.controller_of_ap(r.ap)].arrive(r.ap, id, user, t);
       active.emplace(id, Live{user, r.ap});
     }
   }
 
-  EXPECT_GT(pipeline.model().updated_pairs(), 0U)
+  const social::LiveSocialModel merged = pipeline.model().merged();
+  EXPECT_GT(merged.updated_pairs(), 0U)
       << "schedule produced no social events — test is vacuous";
-  EXPECT_EQ(pipeline.model().updated_pairs(), online.updated_pairs());
+  EXPECT_EQ(merged.updated_pairs(), reference.updated_pairs());
+  EXPECT_EQ(pipeline.model().updated_pairs(),
+            domain_models[0].updated_pairs() +
+                domain_models[1].updated_pairs());
+  EXPECT_GT(pipeline.model().updated_pairs(), merged.updated_pairs())
+      << "no pair was learned in both domains — the merge adds nothing";
 
-  const social::LiveSocialModel<social::ConcurrentPairStore>& shared =
-      pipeline.model();
   const std::size_t n = w.model.num_users();
   for (UserId u = 0; u < n; ++u) {
     for (UserId v = static_cast<UserId>(u + 1); v < n; ++v) {
-      ASSERT_EQ(shared.theta(u, v), online.theta(u, v))
+      ASSERT_EQ(merged.theta(u, v), reference.theta(u, v))
           << "theta mismatch at (" << u << ", " << v << ")";
     }
   }
-  // Row kernel agrees with the online model's row kernel too.
   std::vector<UserId> vs(n);
   for (UserId v = 0; v < n; ++v) vs[v] = v;
-  std::vector<double> shared_row(n);
-  std::vector<double> online_row(n);
+  std::vector<double> merged_row(n);
+  std::vector<double> reference_row(n);
   for (UserId u = 0; u < n; u += 17) {
-    shared.theta_row(u, vs, shared_row);
-    online.theta_row(u, vs, online_row);
-    EXPECT_EQ(shared_row, online_row) << "theta_row mismatch at u=" << u;
+    merged.theta_row(u, vs, merged_row);
+    reference.theta_row(u, vs, reference_row);
+    EXPECT_EQ(merged_row, reference_row) << "theta_row mismatch at u=" << u;
   }
-  // Both sides count the same counter writes.
-  EXPECT_GT(shared.read_epoch(), 0U);
-  EXPECT_EQ(shared.read_epoch(), online.read_epoch());
+  EXPECT_GT(merged.read_epoch(), 0U);
+  EXPECT_EQ(merged.read_epoch(), reference.read_epoch());
 
   // Both live-pair visitors yield the same (pair, θ) sequence, one entry
   // per updated pair, each θ equal to the scalar read.
-  std::vector<std::pair<UserPair, double>> shared_live;
-  shared.for_each_live_theta([&](UserPair pair, double theta) {
-    shared_live.emplace_back(pair, theta);
+  std::vector<std::pair<UserPair, double>> merged_live;
+  merged.for_each_live_theta([&](UserPair pair, double theta) {
+    merged_live.emplace_back(pair, theta);
   });
-  std::vector<std::pair<UserPair, double>> online_live;
-  online.for_each_live_theta([&](UserPair pair, double theta) {
-    online_live.emplace_back(pair, theta);
+  std::vector<std::pair<UserPair, double>> reference_live;
+  reference.for_each_live_theta([&](UserPair pair, double theta) {
+    reference_live.emplace_back(pair, theta);
   });
-  EXPECT_EQ(shared_live.size(), shared.updated_pairs());
-  EXPECT_EQ(shared_live, online_live);
-  for (const auto& [pair, theta] : shared_live) {
-    EXPECT_EQ(theta, shared.theta(pair.a, pair.b))
+  EXPECT_EQ(merged_live.size(), merged.updated_pairs());
+  EXPECT_EQ(merged_live, reference_live);
+  for (const auto& [pair, theta] : merged_live) {
+    EXPECT_EQ(theta, merged.theta(pair.a, pair.b))
         << "live θ mismatch for (" << pair.a << ", " << pair.b << ")";
   }
 }
 
-// The pipeline-level maintainer follows the shared model: the first
+// The pipeline-level maintainer follows the campus model: the first
 // snapshot seeds, later ones re-apply the live pairs without reseeding,
 // and the cover always partitions the population.
 TEST(ServePipeline, SocialSnapshotTracksLiveEventsIncrementally) {
@@ -232,7 +242,7 @@ TEST(ServePipeline, SocialSnapshotTracksLiveEventsIncrementally) {
   }
 
   // Long co-located stays then a joint departure: encounters and
-  // co-leavings land in the shared store's live pairs.
+  // co-leavings land in building 0's domain's live pairs.
   std::uint64_t id = 1;
   for (UserId u = 0; u < 24; ++u) {
     ASSERT_TRUE(p.place(request(id++, u, 0, 0)).placed);
@@ -282,8 +292,9 @@ TEST(ServePipeline, SocialSnapshotCohesionReflectsCoLocatedCliques) {
 
 /// What social_snapshot() must report, computed without the pipeline's
 /// maintainer: the cover of a fresh CliqueMaintainer seeded by the full
-/// θ sweep over the live model, and cohesion summed from the caller's
-/// own user → AP map, clique by clique, in the pipeline's order.
+/// θ sweep over the merged campus model, and cohesion summed from the
+/// caller's own user → AP map, clique by clique, in the pipeline's
+/// order.
 struct CoverReference {
   std::size_t cliques = 0;
   std::size_t singletons = 0;
@@ -299,7 +310,7 @@ CoverReference reference_snapshot(const ServePipeline& p,
   mc.theta_threshold = cfg.s3.theta_threshold;
   mc.clique = cfg.s3.clique;
   social::CliqueMaintainer ref(0, mc);
-  ref.reset_from(p.model());
+  ref.reset_from(p.model().merged());
   const social::CliqueCoverResult& cover = ref.cover();
   CoverReference out;
   out.exact = cover.exact;
@@ -385,7 +396,7 @@ std::vector<UserId> users_of_building(BuildingId b) {
 }
 
 // The maintained cover and its cohesion must equal a from-scratch
-// solve over the live model at every checkpoint, however the live
+// solve over the merged model at every checkpoint, however the live
 // events arrived: first from one thread, then from two threads placing
 // and departing on the two buildings while a third keeps asking for
 // snapshots.

@@ -99,6 +99,19 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "serve --policy s3 without --model should fail")
 endif()
 
+# s3-online keeps a learner of its own beside the one every serve
+# domain runs: serve refuses it, naming s3 as the policy to use.
+execute_process(COMMAND ${CLI} serve --policy s3-online
+                        --model "${WORK}/model.txt" --buildings 2 --aps 1
+                        --in "${WORK}/requests.txt"
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "serve --policy s3-online should fail")
+endif()
+if(NOT err MATCHES "s3 already learns")
+  message(FATAL_ERROR "serve --policy s3-online: unexpected message: ${err}")
+endif()
+
 # Baselines need no model.
 run_cli(serve --policy llf --buildings 2 --aps 1
         --in "${WORK}/requests.txt" --out "${WORK}/llf_responses.txt")

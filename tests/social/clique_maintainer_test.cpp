@@ -186,7 +186,7 @@ TEST(CliqueMaintainer, SyncAgainstFrozenModelSeedsOnceThenIdles) {
   eval.test_days = 1;
   const SocialIndexModel base =
       core::train_from_workload(world.network, world.workload, eval);
-  const LiveSocialModel<PairStore> model(&base);
+  const LiveSocialModel model(&base);
 
   CliqueMaintainer m;
   EXPECT_FALSE(m.sync(model));  // first contact: seed from the base
@@ -221,7 +221,7 @@ TEST(CliqueMaintainer, SyncFollowsOnlineModelDeltas) {
   const SocialIndexModel base =
       core::train_from_workload(world.network, world.workload, eval);
 
-  LiveSocialModel<PairStore> online(&base);
+  LiveSocialModel online(&base);
   PresenceTable presence(util::SimTime::from_minutes(5),
                          util::SimTime::from_minutes(10));
   CliqueMaintainer m;

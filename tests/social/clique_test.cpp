@@ -4,11 +4,14 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
 
+#include "s3/util/error.h"
 #include "s3/util/metrics.h"
 #include "s3/util/rng.h"
 
@@ -48,6 +51,79 @@ WeightedGraph random_graph(std::size_t n, double p, util::Rng& rng) {
 // max_clique and greedy_coloring must reproduce it bit for bit
 // (DESIGN.md §18).
 namespace reference {
+
+/// Fixed-capacity bitset sized at construction: the candidate sets of
+/// the reference search.
+class Bitset {
+ public:
+  Bitset() = default;
+  explicit Bitset(std::size_t bits)
+      : bits_(bits), words_((bits + 63) / 64, 0) {}
+
+  void set(std::size_t i) {
+    S3_REQUIRE(i < bits_, "Bitset::set out of range");
+    words_[i >> 6] |= (std::uint64_t{1} << (i & 63));
+  }
+  void reset(std::size_t i) {
+    S3_REQUIRE(i < bits_, "Bitset::reset out of range");
+    words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+  }
+  bool test(std::size_t i) const {
+    S3_REQUIRE(i < bits_, "Bitset::test out of range");
+    return (words_[i >> 6] >> (i & 63)) & 1u;
+  }
+
+  bool any() const noexcept {
+    for (std::uint64_t w : words_) {
+      if (w) return true;
+    }
+    return false;
+  }
+
+  std::size_t count() const noexcept {
+    std::size_t n = 0;
+    for (std::uint64_t w : words_) {
+      n += static_cast<std::size_t>(std::popcount(w));
+    }
+    return n;
+  }
+
+  /// Lowest set bit, or the capacity if none.
+  std::size_t first() const noexcept {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      if (words_[w]) {
+        return (w << 6) +
+               static_cast<std::size_t>(std::countr_zero(words_[w]));
+      }
+    }
+    return bits_;
+  }
+
+  /// Calls fn(i) for every set bit i, in ascending order.
+  template <class Fn>
+  void for_each_set(Fn&& fn) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        fn((w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  }
+
+  Bitset& operator&=(const Bitset& o) {
+    S3_REQUIRE(bits_ == o.bits_, "Bitset: size mismatch");
+    for (std::size_t w = 0; w < words_.size(); ++w) words_[w] &= o.words_[w];
+    return *this;
+  }
+
+  friend Bitset operator&(Bitset a, const Bitset& b) {
+    a &= b;
+    return a;
+  }
+
+ private:
+  std::size_t bits_ = 0;
+  std::vector<std::uint64_t> words_;
+};
 
 WeightedGraph without(const WeightedGraph& g,
                       const std::vector<std::size_t>& vertices,
@@ -239,6 +315,71 @@ CliqueCoverResult clique_cover(const WeightedGraph& g,
 }
 
 }  // namespace reference
+
+// The reference search's bitset.
+TEST(Bitset, SetResetTest) {
+  reference::Bitset b(100);
+  EXPECT_FALSE(b.any());
+  b.set(0);
+  b.set(63);
+  b.set(64);
+  b.set(99);
+  EXPECT_TRUE(b.test(0));
+  EXPECT_TRUE(b.test(63));
+  EXPECT_TRUE(b.test(64));
+  EXPECT_TRUE(b.test(99));
+  EXPECT_FALSE(b.test(1));
+  EXPECT_EQ(b.count(), 4u);
+  b.reset(63);
+  EXPECT_FALSE(b.test(63));
+  EXPECT_EQ(b.count(), 3u);
+}
+
+TEST(Bitset, FirstBit) {
+  reference::Bitset b(130);
+  EXPECT_EQ(b.first(), 130u);  // empty -> capacity
+  b.set(90);
+  b.set(120);
+  EXPECT_EQ(b.first(), 90u);
+  b.set(5);
+  EXPECT_EQ(b.first(), 5u);
+}
+
+TEST(Bitset, Intersection) {
+  reference::Bitset a(70), b(70);
+  a.set(3);
+  a.set(65);
+  a.set(20);
+  b.set(65);
+  b.set(20);
+  b.set(1);
+  const reference::Bitset c = a & b;
+  EXPECT_EQ(c.count(), 2u);
+  EXPECT_TRUE(c.test(65));
+  EXPECT_TRUE(c.test(20));
+  EXPECT_FALSE(c.test(3));
+}
+
+TEST(Bitset, ForEachSetVisitsBitsInAscendingOrder) {
+  reference::Bitset b(130);
+  for (std::size_t i : {129u, 0u, 64u, 63u, 65u, 7u}) b.set(i);
+  std::vector<std::size_t> seen;
+  b.for_each_set([&](std::size_t i) { seen.push_back(i); });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 7, 63, 64, 65, 129}));
+
+  seen.clear();
+  reference::Bitset(70).for_each_set(
+      [&](std::size_t i) { seen.push_back(i); });
+  EXPECT_TRUE(seen.empty());
+}
+
+TEST(Bitset, BoundsChecked) {
+  reference::Bitset b(10);
+  EXPECT_THROW(b.set(10), std::invalid_argument);
+  EXPECT_THROW(b.test(10), std::invalid_argument);
+  reference::Bitset other(11);
+  EXPECT_THROW(b &= other, std::invalid_argument);
+}
 
 reference::Counts bus_counts() {
   reference::Counts counts;
@@ -542,57 +683,6 @@ TEST(CliqueCover, MemoryFollowsVerticesAndEdgesNotVertexPairs) {
   EXPECT_TRUE(cover.exact);
   EXPECT_LT(growth, kGrowthBound)
       << "peak RSS grew by " << (growth >> 20) << " MiB";
-}
-
-TEST(GreedyClique, EmptyAndTrivial) {
-  EXPECT_TRUE(greedy_clique(WeightedGraph(0)).vertices.empty());
-  EXPECT_EQ(greedy_clique(WeightedGraph(1)).vertices.size(), 1u);
-  EXPECT_EQ(greedy_clique(WeightedGraph(4)).vertices.size(), 1u);  // no edges
-}
-
-TEST(GreedyClique, FindsTheObviousClique) {
-  WeightedGraph g(6);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = i + 1; j < 4; ++j) g.add_edge(i, j, 1.0);
-  }
-  g.add_edge(4, 5, 1.0);
-  const CliqueResult r = greedy_clique(g);
-  EXPECT_EQ(r.vertices, (std::vector<std::size_t>{0, 1, 2, 3}));
-  EXPECT_FALSE(r.exact);
-}
-
-TEST(GreedyClique, AlwaysACliqueNeverLargerThanExact) {
-  util::Rng rng(21);
-  for (int trial = 0; trial < 30; ++trial) {
-    const std::size_t n = 6 + rng.index(30);
-    const WeightedGraph g = random_graph(n, rng.uniform(0.2, 0.7), rng);
-    const CliqueResult greedy = greedy_clique(g);
-    EXPECT_TRUE(g.is_clique(greedy.vertices));
-    EXPECT_FALSE(greedy.vertices.empty());
-    const CliqueResult exact = max_clique(g);
-    EXPECT_LE(greedy.vertices.size(), exact.vertices.size());
-  }
-}
-
-TEST(GreedyClique, ResultIsMaximal) {
-  // No vertex outside the greedy clique is adjacent to all of it.
-  util::Rng rng(23);
-  const WeightedGraph g = random_graph(25, 0.5, rng);
-  const CliqueResult r = greedy_clique(g);
-  for (std::size_t v = 0; v < g.size(); ++v) {
-    if (std::find(r.vertices.begin(), r.vertices.end(), v) !=
-        r.vertices.end()) {
-      continue;
-    }
-    bool adjacent_to_all = true;
-    for (std::size_t u : r.vertices) {
-      if (!g.adjacent(u, v)) {
-        adjacent_to_all = false;
-        break;
-      }
-    }
-    EXPECT_FALSE(adjacent_to_all) << "greedy clique not maximal at " << v;
-  }
 }
 
 // --- Differential: the residual cover against the reference ----------

@@ -8,69 +8,6 @@
 namespace s3::social {
 namespace {
 
-TEST(Bitset, SetResetTest) {
-  Bitset b(100);
-  EXPECT_FALSE(b.any());
-  b.set(0);
-  b.set(63);
-  b.set(64);
-  b.set(99);
-  EXPECT_TRUE(b.test(0));
-  EXPECT_TRUE(b.test(63));
-  EXPECT_TRUE(b.test(64));
-  EXPECT_TRUE(b.test(99));
-  EXPECT_FALSE(b.test(1));
-  EXPECT_EQ(b.count(), 4u);
-  b.reset(63);
-  EXPECT_FALSE(b.test(63));
-  EXPECT_EQ(b.count(), 3u);
-}
-
-TEST(Bitset, FirstBit) {
-  Bitset b(130);
-  EXPECT_EQ(b.first(), 130u);  // empty -> capacity
-  b.set(90);
-  b.set(120);
-  EXPECT_EQ(b.first(), 90u);
-  b.set(5);
-  EXPECT_EQ(b.first(), 5u);
-}
-
-TEST(Bitset, Intersection) {
-  Bitset a(70), b(70);
-  a.set(3);
-  a.set(65);
-  a.set(20);
-  b.set(65);
-  b.set(20);
-  b.set(1);
-  const Bitset c = a & b;
-  EXPECT_EQ(c.count(), 2u);
-  EXPECT_TRUE(c.test(65));
-  EXPECT_TRUE(c.test(20));
-  EXPECT_FALSE(c.test(3));
-}
-
-TEST(Bitset, ForEachSetVisitsBitsInAscendingOrder) {
-  Bitset b(130);
-  for (std::size_t i : {129u, 0u, 64u, 63u, 65u, 7u}) b.set(i);
-  std::vector<std::size_t> seen;
-  b.for_each_set([&](std::size_t i) { seen.push_back(i); });
-  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 7, 63, 64, 65, 129}));
-
-  seen.clear();
-  Bitset(70).for_each_set([&](std::size_t i) { seen.push_back(i); });
-  EXPECT_TRUE(seen.empty());
-}
-
-TEST(Bitset, BoundsChecked) {
-  Bitset b(10);
-  EXPECT_THROW(b.set(10), std::invalid_argument);
-  EXPECT_THROW(b.test(10), std::invalid_argument);
-  Bitset other(11);
-  EXPECT_THROW(b &= other, std::invalid_argument);
-}
-
 TEST(WeightedGraph, EdgesAndWeights) {
   WeightedGraph g(4);
   g.add_edge(0, 1, 0.5);

@@ -37,9 +37,11 @@
 //       (default stdin), one response per line goes to --out (default
 //       stdout), and a run summary goes to stderr. Unlike replay there
 //       is no trace — arrivals and departures stream in as they
-//       happen, s3's social counters update live, and the fault
-//       machinery (AP outages, model outages, degraded fallback)
-//       applies to the stream exactly as it does to a replayed batch.
+//       happen, s3's social counters update live in every controller
+//       domain (s3-online, replay's name for that learning, is
+//       refused), and the fault machinery (AP outages, model outages,
+//       degraded fallback) applies to the stream exactly as it does
+//       to a replayed batch.
 //
 //   s3lb train     --in FILE --out FILE [--alpha A] [--coleave-min M]
 //                  [--history DAYS] [--buildings B] [--aps K]
@@ -446,10 +448,12 @@ int cmd_replay(const Flags& f) {
 
 int cmd_serve(const Flags& f) {
   const std::string policy_name = f.get("policy", "s3");
-  const bool social_policy =
-      policy_name == "s3" || policy_name == "s3-online";
-  if (social_policy && !f.has("model")) {
-    die("serve --policy " + policy_name + " needs --model");
+  if (policy_name == "s3-online") {
+    die("serve --policy s3-online: s3-online is a replay policy; serve's "
+        "s3 already learns online in every domain");
+  }
+  if (policy_name == "s3" && !f.has("model")) {
+    die("serve --policy s3 needs --model");
   }
   const wlan::Network net = network_from(f);
 
@@ -694,7 +698,7 @@ void usage() {
       "           [--fault-plan FILE --fault-seed S]\n"
       "           [--replicas N --heartbeat SECONDS]\n"
       "           [--snapshot-every RECORDS --truncate]\n"
-      "  serve    --policy llf|llf-demand|llf-stations|rssi|random|s3|s3-online\n"
+      "  serve    --policy llf|llf-demand|llf-stations|rssi|random|s3\n"
       "           [--model FILE --model-format auto|text|binary]\n"
       "           [--buildings B --aps K --in FILE --out FILE --seed S]\n"
       "           [--fault-plan FILE --fault-seed S --metrics]\n"

@@ -194,7 +194,7 @@ struct MemberField {
   std::string name;
   std::size_t line;
   bool annotated = false;  ///< carries S3_GUARDED_BY / S3_PT_GUARDED_BY
-  bool is_lock = false;    ///< Mutex / Spinlock / std::mutex member
+  bool is_lock = false;    ///< Mutex / std::mutex member
   bool is_atomic = false;
   bool exempt = false;     ///< static / constexpr / const value member
 };
@@ -276,8 +276,7 @@ bool classify_member(const std::vector<Token>& stmt, MemberField& out) {
   for (const Token& t : body) {
     if (t.kind != TokenKind::kIdentifier) continue;
     if (t.text == name) break;  // flags come from the type, not the init
-    if (t.text == "Mutex" || t.text == "Spinlock" || t.text == "mutex" ||
-        t.text == "shared_mutex") {
+    if (t.text == "Mutex" || t.text == "mutex" || t.text == "shared_mutex") {
       out.is_lock = true;
     }
     if (t.text == "atomic" || t.text == "atomic_flag") out.is_atomic = true;
@@ -664,8 +663,8 @@ class Linter {
       if (!punct(tok(i - 1), "::") || !ident(tok(i - 2), "std")) continue;
       report("lock-raw-mutex", t.line,
              "std::" + t.text + " is invisible to -Wthread-safety; use "
-             "util::Mutex/MutexLock (or util::Spinlock) so S3_GUARDED_BY "
-             "contracts stay compiler-checked");
+             "util::Mutex/MutexLock so S3_GUARDED_BY contracts stay "
+             "compiler-checked");
     }
   }
 

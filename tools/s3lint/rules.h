@@ -6,10 +6,10 @@
 //   determinism — replay/serve/model output must be a pure function of
 //     (inputs, seeds): no wall clock, no libc RNG, no entropy source,
 //     and no output derived from unordered-container iteration order.
-//   lock discipline — shared state uses the annotated util::Mutex /
-//     util::Spinlock capabilities so clang's -Wthread-safety analysis
-//     sees every acquisition, and every mutable field of a lock-owning
-//     class is tied to its lock with S3_GUARDED_BY.
+//   lock discipline — shared state uses the annotated util::Mutex
+//     capability so clang's -Wthread-safety analysis sees every
+//     acquisition, and every mutable field of a lock-owning class is
+//     tied to its lock with S3_GUARDED_BY.
 //   hygiene — headers are `#pragma once`, never `using namespace`;
 //     src/ uses the S3_PRECONDITION contract family instead of bare
 //     assert so checks stay runtime-selectable.
