@@ -102,13 +102,13 @@ run_cli(replay --in "${WORK}/w.csv" --out "${WORK}/online_repl.csv"
         --replicas 1 --snapshot-every 200)
 
 set(S3_DIGEST
-    2b45362522b5e2d0a6d94c645d0c6db18183950f080b5fdade6795c13d209485)
+    01ed6481cfba8cfd8b2df9187f920b0438cb209764c1f35ea3a215e70a99ceb6)
 set(ONLINE_DIGEST
-    c701ed73c8a99a774ebcaa1484374dccbcb684ed6fd27721fbd2111e42850423)
+    8258d7e334a9845300efb561e02a15adad57c86af5a0c2db830fb13459628fbb)
 set(S3_FAULT_DIGEST
-    ada1766a4e4622ac960f90bb09e9c492a8fb2d2a9553a55607f9e7f4924ed65a)
+    02a7a2bfe41553464e0991e21d8475780c74e1a18851fb5b10d94402e3c9184b)
 set(ONLINE_FAULT_DIGEST
-    52cd8c490c28029508fd15f2ed9da9e59fd01e4a712e2f38bf5b5ee3dec28431)
+    00ca39247385311fabf2807af3d7c3d60930ea711c5fb0fb97ca3c605b44e16f)
 set(golden
     "w.csv=33ffe340917e6b271a95d35cf256e334b6eed78f6132039de795e680cd0306cd"
     "llf.csv=00fc4875ab715d52e3b053d7b0f39e88665c7ed514b599b01a32690705a57521"
