@@ -33,9 +33,8 @@ class LlfSelector final : public sim::ApSelector {
 
   /// Places the arrivals in order, each against the committed loads
   /// plus this batch's earlier picks, so a burst spreads over its
-  /// candidates. The earlier picks live in an overlay that holds only
-  /// the APs they touched; the tracker is never copied. The result is
-  /// replayable.
+  /// candidates. The earlier picks live in a sim::BatchOverlay; the
+  /// tracker is never copied. The result is replayable.
   sim::BatchResult place_batch(const sim::BatchRequest& request,
                                const sim::ApLoadTracker& loads) override;
 
@@ -92,7 +91,7 @@ class RandomSelector final : public sim::ApSelector {
 /// Least-loaded AP of `aps` under `metric`; ties broken by the other
 /// metric, then by AP id (determinism). `Loads` is any view with
 /// `demand_mbps(ap)` and `station_count(ap)`: the committed
-/// ApLoadTracker, or LLF's batch overlay on it.
+/// ApLoadTracker, or a sim::BatchOverlay on it.
 template <typename Loads>
 ApId least_loaded_of(std::span<const ApId> aps, const Loads& loads,
                      LoadMetric metric) {

@@ -130,18 +130,23 @@ class S3Selector final : public sim::ApSelector {
   }
 
  private:
+  /// select_one against `loads`, the committed state plus the batch's
+  /// earlier picks.
+  ApId select_single(const sim::Arrival& arrival,
+                     const sim::BatchOverlay& loads);
+
   /// Places one multi-member clique (steps 5–7 of Algorithm 1) against
   /// `loads`, the state with every earlier clique of the batch
   /// committed; writes each member's AP to `result[batch index]`.
   void place_clique_members(std::span<const sim::Arrival> batch,
                             const std::vector<std::size_t>& clique,
-                            const sim::ApLoadTracker& loads,
+                            const sim::BatchOverlay& loads,
                             std::span<ApId> result);
 
-  /// Social cost of adding `user` to each AP of `aps` against the
-  /// committed state, C(AP) = Σ_{w ∈ S(AP)} θ(user, w), into `costs`
-  /// (aligned with `aps`), from one theta_row over all their stations.
-  void social_costs(const sim::ApLoadTracker& loads, UserId user,
+  /// Social cost of adding `user` to each AP of `aps` against `loads`,
+  /// C(AP) = Σ_{w ∈ S(AP)} θ(user, w), into `costs` (aligned with
+  /// `aps`), from one theta_row over all their stations.
+  void social_costs(const sim::BatchOverlay& loads, UserId user,
                     std::span<const ApId> aps, std::vector<double>& costs);
 
   /// True while a fault directive routes batches to the embedded LLF.
