@@ -187,6 +187,8 @@ void count_companioned_events(const trace::Trace& trace, util::SimTime window,
       const auto [when, user] = select(sessions[i]);
       events.push_back({when, user});
     }
+    // s3lint: allow(det-sort-ties): ties cannot reach output: each event's
+    // companion test scans every event within the window on both sides
     std::sort(events.begin(), events.end(),
               [](const Ev& a, const Ev& b) { return a.when < b.when; });
 

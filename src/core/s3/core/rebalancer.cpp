@@ -210,6 +210,8 @@ RebalanceResult simulate_with_migration(const wlan::Network& net,
       fault_events.insert(fault_events.end(), domain_events.begin(),
                           domain_events.end());
     }
+    // s3lint: allow(det-sort-ties): total order: (when, kind, ap); equal keys
+    // are identical events
     std::sort(fault_events.begin(), fault_events.end(),
               [](const fault::ApFaultEvent& a, const fault::ApFaultEvent& b) {
                 if (a.when != b.when) return a.when < b.when;

@@ -575,6 +575,8 @@ void ReplicationGroup::run() {
   for (const util::TimeInterval& iv : injector_->controller_losses(domain_)) {
     windows.push_back({iv, true});
   }
+  // s3lint: allow(det-sort-ties): ties cannot occur: validate_plan keeps one
+  // controller's outage and loss windows non-empty and disjoint
   std::sort(windows.begin(), windows.end(),
             [](const Scheduled& a, const Scheduled& b) {
               return a.window.begin < b.window.begin;

@@ -600,6 +600,7 @@ fault::ReplicaSnapshot ControllerEngine::snapshot() const {
   for (const auto& [session, count] : attempts_) {
     snap.attempts.push_back({session, count});
   }
+  // s3lint: allow(det-sort-ties): total order: session indices are unique
   std::sort(snap.attempts.begin(), snap.attempts.end(),
             [](const fault::SessionAttempts& a, const fault::SessionAttempts& b) {
               return a.session_index < b.session_index;

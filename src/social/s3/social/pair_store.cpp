@@ -101,6 +101,7 @@ std::vector<PairStore::Entry> PairStore::sorted_entries() const {
   std::vector<Entry> entries;
   entries.reserve(size_);
   for_each([&](UserPair p, const Stats& s) { entries.push_back({p, s}); });
+  // s3lint: allow(det-sort-ties): total order: pairs are unique keys
   std::sort(entries.begin(), entries.end(),
             [](const Entry& x, const Entry& y) { return x.pair < y.pair; });
   return entries;

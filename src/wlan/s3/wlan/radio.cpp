@@ -47,6 +47,7 @@ std::vector<ApId> candidate_aps(const Network& net, const RadioModel& radio,
               "candidate_aps: building without APs");
     return {best_in_building};
   }
+  // s3lint: allow(det-sort-ties): total order: (rssi, id)
   std::sort(heard.begin(), heard.end(), [](const Scored& a, const Scored& b) {
     if (a.rssi != b.rssi) return a.rssi > b.rssi;
     return a.id < b.id;  // deterministic tie-break

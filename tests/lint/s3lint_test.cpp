@@ -52,7 +52,7 @@ std::size_t count_rule(const std::vector<Finding>& findings,
 
 TEST(Rules, RegistryIsSortedAndComplete) {
   const auto rules = all_rules();
-  ASSERT_EQ(rules.size(), 11u);
+  ASSERT_EQ(rules.size(), 12u);
   EXPECT_TRUE(std::is_sorted(
       rules.begin(), rules.end(),
       [](const RuleInfo& a, const RuleInfo& b) { return a.id < b.id; }));
@@ -204,6 +204,7 @@ struct RuleFixture {
 constexpr RuleFixture kRuleFixtures[] = {
     {"det-rand", "det_rand", ".cpp", false, 2},
     {"det-random-device", "det_random_device", ".cpp", false, 1},
+    {"det-sort-ties", "det_sort_ties", ".cpp", true, 3},
     {"det-time", "det_time", ".cpp", false, 2},
     {"det-unordered-iter", "det_unordered_iter", ".cpp", true, 2},
     {"hyg-assert", "hyg_assert", ".cpp", false, 1},
@@ -292,6 +293,16 @@ TEST(DetUnorderedIter, FiresOnlyUnderOutputScope) {
                        "det-unordered-iter"),
             2u);
   EXPECT_EQ(count_rule(lint_fixture(name), "det-unordered-iter"), 0u);
+}
+
+TEST(DetSortTies, FiresOnlyUnderOutputScopeAtTheCallLine) {
+  const std::string name = "det_sort_ties_positive.cpp";
+  std::vector<std::size_t> lines;
+  for (const Finding& f : lint_fixture(name, output_scope_config())) {
+    if (f.rule == "det-sort-ties") lines.push_back(f.line);
+  }
+  EXPECT_EQ(lines, (std::vector<std::size_t>{14, 16, 18}));
+  EXPECT_EQ(count_rule(lint_fixture(name), "det-sort-ties"), 0u);
 }
 
 TEST(HeaderContext, SiblingHeaderDeclaresTheUnorderedMember) {

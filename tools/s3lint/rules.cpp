@@ -4,6 +4,7 @@
 #include <array>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "s3lint/lexer.h"
 
@@ -11,11 +12,13 @@ namespace s3::lint {
 
 namespace {
 
-constexpr std::array<RuleInfo, 11> kRules = {{
+constexpr std::array<RuleInfo, 12> kRules = {{
     {"det-rand", Severity::kError,
      "libc RNG (rand/srand/drand48) outside the seeded rng layer"},
     {"det-random-device", Severity::kError,
      "std::random_device draws real entropy; replay output must be seeded"},
+    {"det-sort-ties", Severity::kError,
+     "comparator sort/selection whose equal elements may reach output"},
     {"det-time", Severity::kError,
      "wall-clock read (time()/system_clock); decisions must use SimTime"},
     {"det-unordered-iter", Severity::kError,
@@ -468,7 +471,10 @@ class Linter {
     rule_det_rand();
     rule_det_random_device();
     rule_det_time();
-    if (config_.output_scope) rule_det_unordered_iter(unordered);
+    if (config_.output_scope) {
+      rule_det_unordered_iter(unordered);
+      rule_det_sort_ties();
+    }
     rule_lock_raw_mutex();
     rule_lock_unguarded_field();
     rule_lock_atomic_mix(atomics);
@@ -644,6 +650,48 @@ class Linter {
           }
         }
       }
+    }
+  }
+
+  /// std::sort, std::nth_element and std::partial_sort leave equal
+  /// elements in an order the library picks. With their default `<` the
+  /// elements are values, so equal ones are interchangeable; with a
+  /// comparator they may differ in fields the comparator ignores. Such
+  /// a call must break ties totally or say why ties cannot reach output.
+  void rule_det_sort_ties() {
+    if (!enabled("det-sort-ties")) return;
+    // Arguments of the comparator overload: (first, last, comp) for
+    // sort, (first, middle|nth, last, comp) for the other two.
+    static constexpr std::array<std::pair<std::string_view, std::size_t>, 3>
+        kWithComparator = {{{"sort", 3}, {"nth_element", 4},
+                            {"partial_sort", 4}}};
+    for (std::size_t i = 2; i + 1 < size(); ++i) {
+      const Token& t = tok(i);
+      if (t.kind != TokenKind::kIdentifier) continue;
+      const auto algo = std::find_if(
+          kWithComparator.begin(), kWithComparator.end(),
+          [&](const auto& a) { return a.first == t.text; });
+      if (algo == kWithComparator.end()) continue;
+      if (!punct(tok(i - 1), "::") || !ident(tok(i - 2), "std") ||
+          !called(i)) {
+        continue;
+      }
+      std::size_t args = 1;
+      int depth = 0;
+      for (std::size_t j = i + 1; j < size(); ++j) {
+        const Token& a = tok(j);
+        if (a.kind != TokenKind::kPunct) continue;
+        if (a.text == "(" || a.text == "[" || a.text == "{") ++depth;
+        if (a.text == ")" || a.text == "]" || a.text == "}") {
+          if (--depth == 0) break;
+        }
+        if (a.text == "," && depth == 1) ++args;
+      }
+      if (args < algo->second) continue;
+      report("det-sort-ties", t.line,
+             "std::" + t.text + " with a comparator leaves equal elements in "
+             "an order the library picks; break ties totally or allow it "
+             "with the reason ties cannot reach output");
     }
   }
 

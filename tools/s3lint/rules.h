@@ -5,7 +5,8 @@
 //
 //   determinism — replay/serve/model output must be a pure function of
 //     (inputs, seeds): no wall clock, no libc RNG, no entropy source,
-//     and no output derived from unordered-container iteration order.
+//     and no output derived from unordered-container iteration order or
+//     from the order std::sort and friends leave equal elements in.
 //   lock discipline — shared state uses the annotated util::Mutex
 //     capability so clang's -Wthread-safety analysis sees every
 //     acquisition, and every mutable field of a lock-owning class is
