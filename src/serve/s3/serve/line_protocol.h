@@ -40,6 +40,12 @@
 //                                  4294967295 (kInvalidUser) or a
 //                                  negative demand
 //   err unknown-verb <verb>        first token is not a request verb
+//   err line-too-long <prefix>     line longer than kMaxLineBytes; the
+//                                  reply echoes its first kEchoBytes
+//
+// A line is read into a buffer of at most kMaxLineBytes; the rest of an
+// over-long line is skipped up to the next newline without being
+// stored, so no input grows the driver's memory past that bound.
 //
 // The machine-readable class is always the second token, so scripted
 // clients can branch on it without parsing free text. Every err line
@@ -49,6 +55,7 @@
 // interactive callers keep their session.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string_view>
 
@@ -56,6 +63,11 @@
 #include "s3/util/thread_annotations.h"
 
 namespace s3::serve {
+
+/// Longest request line the driver reads, newline excluded.
+inline constexpr std::size_t kMaxLineBytes = 4096;
+/// Bytes of an over-long line its err reply echoes.
+inline constexpr std::size_t kEchoBytes = 64;
 
 /// Whole-line serializer for a shared response stream. Concurrent
 /// responders (one driver per client of the same pipeline) write
