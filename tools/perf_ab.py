@@ -2,6 +2,7 @@
 """Paired A/B runs of the repository benchmark on two git revisions.
 
     python3 tools/perf_ab.py PARENT CHANGE --workload W --seed S [--pairs N]
+                             [--record]
 
 Run from inside a checkout. Each revision is exported with `git archive`
 into .perf_ab/<sha>/ (reused when already there), so both sides build and
@@ -35,6 +36,13 @@ exit status, since some workloads place differently from run to run.
 
 The bounds, run length and command come from the parent's BENCHMARK.json.
 Raw results go to .perf_ab/<parent>-<change>-<workload>-seed<S>-<time>.json.
+With --record, the summary also replaces the entry for this workload and
+seed in BENCH_perfbench.json at the repository root (created when
+missing): the sha pair and pair count, each side's median and quartiles
+per end-to-end metric with the ratio, wins and verdict, both sides'
+placement digests, and the run header (compiler, nproc, hardware
+threads, run seconds). Keys are sorted so a re-recorded entry diffs
+small; commit the file with the change it measures.
 Exit status: 0 when every run was correct and the change's failed share
 is no higher than the parent's, 1 otherwise, 2 on usage errors.
 """
@@ -48,6 +56,7 @@ import time
 from pathlib import Path
 
 OUT_DIR = ".perf_ab"
+RECORD_FILE = "BENCH_perfbench.json"
 
 
 def log(msg):
@@ -94,9 +103,12 @@ def run_once(tree, cmd):
         return {"correct": False, "attempted": 0, "failed": 0,
                 "metrics": {}, "digest": None}
     result["digest"] = None
+    result["header"] = None
     for line in lines:
         if "placement digest" in line:
             result["digest"] = line.rsplit(" ", 1)[-1]
+        if line.startswith("# run "):
+            result["header"] = json.loads(line[len("# run "):])
     return result
 
 
@@ -147,6 +159,63 @@ def digest_line(parent, change):
             f"change only: {', '.join(sorted(change - parent)) or 'none'})")
 
 
+def summarize(spec, runs, pairs):
+    """One row per end-to-end metric: each side's median and quartiles,
+    the ratio, wins and verdict; None for a metric some run lacks."""
+    rows = {}
+    for m in spec["end_to_end"]:
+        name = m["name"]
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]
+                         if name in r["metrics"]] for side in runs}
+        if len(values["parent"]) != pairs or len(values["change"]) != pairs:
+            rows[name] = None
+            continue
+        row = {"unit": m["unit"], "better": m["better"], "bound": m["bound"]}
+        for side in ("parent", "change"):
+            q1, q3 = quartiles(values[side])
+            row[side] = {"median": statistics.median(values[side]),
+                         "q1": q1, "q3": q3}
+        p_med = row["parent"]["median"]
+        row["ratio"] = row["change"]["median"] / p_med if p_med else 0.0
+        row["wins"], row["verdict"] = verdict(
+            values["parent"], values["change"], m["better"], m["bound"])
+        rows[name] = row
+    return rows
+
+
+def record_entry(workload, seed, shas, spec, runs, rows):
+    """The BENCH_perfbench.json entry of one A/B run."""
+    header = next((r["header"] for side in ("change", "parent")
+                   for r in runs[side] if r.get("header")), None) or {}
+    return {
+        "workload": workload,
+        "seed": seed,
+        "parent": shas["parent"],
+        "change": shas["change"],
+        "pairs": len(runs["parent"]),
+        "metrics": {name: row for name, row in rows.items() if row},
+        "placement_digests": {
+            side: sorted({r["digest"] for r in runs[side] if r["digest"]})
+            for side in ("parent", "change")},
+        "host": {
+            "compiler": header.get("compiler"),
+            "nproc": header.get("nproc"),
+            "hardware_concurrency": header.get("hardware_concurrency"),
+            "run_seconds": spec["run_seconds"],
+        },
+    }
+
+
+def record(path, entry):
+    """Adds `entry` to the trajectory file at `path`, replacing the
+    entry of the same workload and seed."""
+    path = Path(path)
+    data = json.loads(path.read_text()) if path.exists() else {}
+    entries = data.setdefault("entries", {})
+    entries[f"{entry['workload']} seed {entry['seed']}"] = entry
+    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+
+
 def failed_share(runs):
     attempted = sum(r["attempted"] for r in runs)
     return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
@@ -162,6 +231,8 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", required=True, type=int)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--record", action="store_true",
+                    help=f"write the summary into {RECORD_FILE}")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -202,25 +273,17 @@ def main():
     print(f"{'metric':<16} {'parent median [q1, q3]':>30} "
           f"{'change median [q1, q3]':>30} {'ratio':>7} {'wins':>6} "
           f"{'bound':>6}  verdict")
-    for m in spec["end_to_end"]:
-        name = m["name"]
-        values = {side: [r["metrics"][name]["value"] for r in runs[side]
-                         if name in r["metrics"]] for side in runs}
-        if len(values["parent"]) != args.pairs or \
-                len(values["change"]) != args.pairs:
+    rows = summarize(spec, runs, args.pairs)
+    for name, row in rows.items():
+        if row is None:
             print(f"{name:<16} missing from some runs")
             continue
-        cells = []
-        for side in ("parent", "change"):
-            q1, q3 = quartiles(values[side])
-            cells.append(f"{statistics.median(values[side]):.4g} "
-                         f"[{q1:.4g}, {q3:.4g}]")
-        p_med = statistics.median(values["parent"])
-        ratio = statistics.median(values["change"]) / p_med if p_med else 0.0
-        wins, call = verdict(values["parent"], values["change"],
-                             m["better"], m["bound"])
-        print(f"{name:<16} {cells[0]:>30} {cells[1]:>30} {ratio:>7.3f} "
-              f"{wins:>3}/{args.pairs:<2} {m['bound']:>6}  {call}")
+        cells = [f"{row[side]['median']:.4g} "
+                 f"[{row[side]['q1']:.4g}, {row[side]['q3']:.4g}]"
+                 for side in ("parent", "change")]
+        print(f"{name:<16} {cells[0]:>30} {cells[1]:>30} "
+              f"{row['ratio']:>7.3f} {row['wins']:>3}/{args.pairs:<2} "
+              f"{row['bound']:>6}  {row['verdict']}")
 
     ok = True
     digests = {}
@@ -243,6 +306,10 @@ def main():
                                "change": shas["change"],
                                "command": cmd, "runs": runs}, indent=1))
     print(f"# raw runs: {raw.relative_to(root)}")
+    if args.record:
+        record(root / RECORD_FILE, record_entry(
+            args.workload, args.seed, shas, spec, runs, rows))
+        print(f"# recorded in {RECORD_FILE}")
     sys.exit(0 if ok else 1)
 
 

@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Unit test of tools/perf_ab.py's verdict() over synthetic runs.
+"""Unit test of tools/perf_ab.py's verdict() and --record over
+synthetic runs.
 
     python3 tools/perf_ab_test.py
 """
 
+import json
 import sys
+import tempfile
 import unittest
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from perf_ab import verdict  # noqa: E402
+from perf_ab import record, record_entry, summarize, verdict  # noqa: E402
 
 
 class VerdictTest(unittest.TestCase):
@@ -51,6 +54,70 @@ class VerdictTest(unittest.TestCase):
         change = [13.0] * 10
         self.assertEqual(verdict(parent, change, "lower", 0.25),
                          (0, "worse"))
+
+
+SPEC = {"run_seconds": 10,
+        "end_to_end": [
+            {"name": "sessions_per_s", "unit": "1/s", "better": "higher",
+             "bound": 0.25},
+            {"name": "peak_rss_mb", "unit": "MB", "better": "lower",
+             "bound": 0.1}]}
+
+
+def run(sessions, rss, digest="7"):
+    return {"correct": True, "attempted": 10, "failed": 0, "digest": digest,
+            "header": {"compiler": "GNU 12.2.0", "nproc": 4,
+                       "hardware_concurrency": 4, "seconds": 10},
+            "metrics": {"sessions_per_s": {"value": sessions, "unit": "1/s"},
+                        "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+
+def entry(workload, seed, change_sessions):
+    runs = {"parent": [run(100.0 + i, 50.0) for i in range(10)],
+            "change": [run(change_sessions + i, 50.0, "8")
+                       for i in range(10)]}
+    rows = summarize(SPEC, runs, 10)
+    return record_entry(workload, seed, {"parent": "a" * 40,
+                                         "change": "b" * 40},
+                        SPEC, runs, rows)
+
+
+class RecordTest(unittest.TestCase):
+    def test_entry_shape(self):
+        e = entry("replay-s3", 42, 150.0)
+        self.assertEqual(e["pairs"], 10)
+        self.assertEqual((e["parent"], e["change"]), ("a" * 40, "b" * 40))
+        self.assertEqual(e["host"], {"compiler": "GNU 12.2.0", "nproc": 4,
+                                     "hardware_concurrency": 4,
+                                     "run_seconds": 10})
+        self.assertEqual(e["placement_digests"],
+                         {"parent": ["7"], "change": ["8"]})
+        row = e["metrics"]["sessions_per_s"]
+        self.assertEqual(set(row), {"unit", "better", "bound", "parent",
+                                    "change", "ratio", "wins", "verdict"})
+        self.assertEqual(set(row["parent"]), {"median", "q1", "q3"})
+        self.assertEqual(row["parent"]["median"], 104.5)
+        self.assertEqual((row["wins"], row["verdict"]), (10, "gain"))
+        self.assertEqual(e["metrics"]["peak_rss_mb"]["verdict"],
+                         "within bound")
+
+    def test_rerecording_replaces_the_entry(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "BENCH_perfbench.json"
+            record(path, entry("replay-s3", 42, 150.0))
+            record(path, entry("replay-s3", 7, 150.0))
+            record(path, entry("replay-s3", 42, 160.0))
+            text = path.read_text()
+            data = json.loads(text)
+            self.assertEqual(sorted(data["entries"]),
+                             ["replay-s3 seed 42", "replay-s3 seed 7"])
+            latest = data["entries"]["replay-s3 seed 42"]
+            self.assertEqual(
+                latest["metrics"]["sessions_per_s"]["change"]["median"],
+                164.5)
+            # Sorted keys: re-writing the same data changes no byte.
+            self.assertEqual(text, json.dumps(data, indent=1,
+                                              sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
