@@ -161,7 +161,6 @@ bool run_line_protocol(ServePipeline& pipeline, std::istream& in,
                << " cover_version=" << s.cover_version
                << " deltas=" << s.deltas_applied
                << " solved=" << s.components_solved
-               << " reused=" << s.components_reused
                << " reseeds=" << s.reseeds;
       respond();
     } else {

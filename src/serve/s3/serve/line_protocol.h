@@ -20,15 +20,16 @@
 //         overloads=<n> rejected=<n> updated_pairs=<n>   (one line)
 //   social users=<n> cliques=<n> singletons=<n> largest=<n>
 //          cohesion=<x.xxxxxx> exact=<0|1> incremental=<0|1>
-//          cover_version=<n> deltas=<n> solved=<n> reused=<n>
-//          reseeds=<n>                                   (one line)
+//          cover_version=<n> deltas=<n> solved=<n> reseeds=<n>
+//                                                        (one line)
 //
 // `social` serves ServePipeline::social_snapshot(): the maintained
 // clique cover of the live θ-graph plus the cohesion score (θ mass of
 // clique pairs currently sharing an AP). The first query seeds the
 // maintained graph from the trained model; every query re-applies θ
 // for each live pair (`deltas` counts those applications) and
-// re-solves only dirty components (incremental=1 after the first).
+// re-solves the cover only if an edge moved (incremental=1 after the
+// first). `solved` counts the components of every re-solve.
 //
 // Malformed lines get a structured reply and processing continues:
 //

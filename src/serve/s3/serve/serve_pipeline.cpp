@@ -240,7 +240,6 @@ SocialSnapshot ServePipeline::social_snapshot() {
   const social::CliqueMaintainerStats& ms = social_.view.stats();
   out.deltas_applied = ms.deltas_applied;
   out.components_solved = ms.components_solved;
-  out.components_reused = ms.components_reused;
   out.reseeds = ms.reseeds;
   return out;
 }

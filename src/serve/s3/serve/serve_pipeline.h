@@ -96,8 +96,8 @@ struct PlaceResult {
 /// social mass current placements keep together. Served by
 /// ServePipeline::social_snapshot() (the `social` protocol verb)
 /// without rebuilding the graph: the pipeline's CliqueMaintainer
-/// re-applies the merged live pairs and re-solves only the components
-/// whose edges moved.
+/// re-applies the merged live pairs and re-solves its cover only when
+/// an edge crossed the threshold or changed weight.
 struct SocialSnapshot {
   std::size_t users = 0;
   std::size_t cliques = 0;     ///< multi-member cliques in the cover
@@ -112,7 +112,9 @@ struct SocialSnapshot {
   std::uint64_t cover_version = 0;
   // Cumulative maintainer telemetry.
   std::uint64_t deltas_applied = 0;  ///< live-pair θ applications
-  std::uint64_t components_solved = 0;
+  std::uint64_t components_solved = 0;  ///< every component, every re-solve
+  /// Always 0: the maintainer caches no component. Kept only because
+  /// perfbench reads it; goes with the next benchmark change.
   std::uint64_t components_reused = 0;
   std::uint64_t reseeds = 0;
 };
@@ -180,7 +182,7 @@ class ServePipeline {
   /// Current social structure (see SocialSnapshot). Thread-safe; the
   /// first call seeds the maintained θ-graph from the trained model's
   /// recorded pairs, and every call re-applies θ for each pair of
-  /// model().merged() and re-solves only dirty components. A domain's
+  /// model().merged() and re-solves the cover only if an edge moved. A domain's
   /// calls wait only while its live pairs are absorbed.
   SocialSnapshot social_snapshot();
 

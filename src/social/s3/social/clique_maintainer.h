@@ -1,23 +1,19 @@
-// Incremental θ-graph and clique-cover maintenance behind the serve
-// `social` verb (ServePipeline::social_snapshot).
+// θ-graph mirror and cached clique cover behind the serve `social`
+// verb (ServePipeline::social_snapshot).
 //
 // A CliqueMaintainer mirrors a ThetaProvider's strict-threshold edge
-// set as a sparse adjacency structure, tracks its connected
-// components, and re-solves only the components whose edges crossed
-// the threshold (or changed weight) since the last query — every clean
-// component's cover is served from cache.
+// set as sorted sparse adjacency and caches one clique cover of it.
+// Any edge insert, removal or weight change drops the cache; cover()
+// on a stale cache finds the connected components by BFS from
+// ascending roots, so in ascending-minimum-vertex order, and solves
+// each one with clique_cover() on its induced subgraph. A clique never
+// spans components, so this equals a whole-graph solve up to
+// extraction order, and the cover depends only on the edge set, not on
+// the order of the mutations that built it.
 //
-// The canonical cover is defined per component: components ordered by
-// their minimum vertex, each solved independently with clique_cover()
-// on its induced subgraph. A clique cover never spans components (no
-// edges between them), so this equals a whole-graph solve up to
-// extraction order — and because cover() and solve_from_scratch() both
-// assemble from the same per-component solves, the incremental result
-// is bitwise-identical to the from-scratch fallback by construction.
-// solve_from_scratch() recomputes components by BFS and ignores every
-// cache, so asserting cover() == solve_from_scratch() (the randomized
-// differential suite does, at several thread counts) is a real guard
-// on the dirty-set and component bookkeeping.
+// Nothing is cached per component: behavioural groups overlap across
+// a campus, so the θ graph is one giant component plus a few isolated
+// users, and any change re-solves nearly all of it (DESIGN.md §16).
 //
 // sync() follows a LiveSocialModel: it seeds once from the trained
 // base, then re-applies θ for every live pair on each call (see
@@ -53,10 +49,7 @@ struct CliqueMaintainerStats {
   std::uint64_t edges_removed = 0;
   std::uint64_t edges_reweighted = 0;
   std::uint64_t deltas_applied = 0;  ///< live-pair θ applications by sync()
-  std::uint64_t component_merges = 0;
-  std::uint64_t component_splits = 0;
-  std::uint64_t components_solved = 0;  ///< fresh per-component solves
-  std::uint64_t components_reused = 0;  ///< cache hits during assembly
+  std::uint64_t components_solved = 0;  ///< every component of every recompute
   std::uint64_t cover_queries = 0;
   std::uint64_t reseeds = 0;  ///< full rebuilds via reset_from()
 };
@@ -85,7 +78,7 @@ class CliqueMaintainer {
 
   /// Point mutation: θ(u, v) is now `theta`. Inserts, removes, or
   /// re-weights the edge as the strict threshold rule dictates;
-  /// exact-equal re-weights are no-ops (no component goes dirty).
+  /// exact-equal re-weights are no-ops and keep the cached cover.
   void set_theta(UserId u, UserId v, double theta);
 
   std::size_t num_users() const noexcept { return adj_.size(); }
@@ -98,63 +91,29 @@ class CliqueMaintainer {
   /// Neighbors of `u` in ascending id order.
   std::span<const Neighbor> neighbors(UserId u) const;
 
-  /// The maintained cover: re-solves dirty components, serves the rest
-  /// from cache, and assembles components in ascending-minimum-vertex
-  /// order. The reference stays valid until the next mutating call.
+  /// The cover of the mirrored graph: cached until the next edge
+  /// change, then recomputed component by component. The reference
+  /// stays valid until the next mutating call.
   const CliqueCoverResult& cover();
 
-  /// Cache-free fallback: recomputes components by BFS and solves each
-  /// one fresh. Bitwise-identical to cover() whenever the incremental
-  /// bookkeeping is sound.
-  CliqueCoverResult solve_from_scratch() const;
-
-  /// Bumps every time an assembled cover differs from the previous one
-  /// (i.e. some component was re-solved).
+  /// Bumps every time cover() recomputes.
   std::uint64_t cover_version() const noexcept { return cover_version_; }
-
-  /// Components currently marked dirty (re-solved at next cover()).
-  std::size_t dirty_components() const noexcept { return dirty_count_; }
-  std::size_t num_components() const noexcept {
-    return comps_.size() - free_slots_.size();
-  }
 
   const CliqueMaintainerStats& stats() const noexcept { return stats_; }
 
  private:
-  struct Component {
-    std::vector<UserId> members;  ///< unsorted; sorted at solve time
-    UserId min_member = kInvalidUser;
-    bool alive = false;
-    bool dirty = true;
-    CliqueCoverResult cover;  ///< cached, global user ids
-  };
-
   void insert_edge(UserId u, UserId v, double theta);
-  void remove_edge(UserId u, UserId v);
-  void mark_dirty(std::uint32_t comp);
-  std::uint32_t alloc_component();
-  /// BFS over the maintained adjacency from `root`, appending every
-  /// reached vertex (root included) to `out` and stamping visit_mark_.
-  void flood(UserId root, std::uint32_t mark, std::vector<UserId>& out) const;
-  CliqueCoverResult solve_component(const std::vector<UserId>& members) const;
+  /// Solves the component whose vertices are `members` (any order;
+  /// sorted here) and appends its cliques, in global ids, to cover_.
+  void solve_component(std::vector<UserId>& members);
 
   CliqueMaintainerConfig config_{};
   std::vector<std::vector<Neighbor>> adj_;
   std::size_t num_edges_ = 0;
-
-  std::vector<std::uint32_t> comp_of_;
-  std::vector<Component> comps_;
-  std::vector<std::uint32_t> free_slots_;
-  std::size_t dirty_count_ = 0;
-
-  /// Stamp-based visited set for BFS (no O(n) clears per delete).
-  mutable std::vector<std::uint32_t> visit_mark_;
-  mutable std::uint32_t visit_stamp_ = 0;
-
   bool seeded_ = false;
 
-  CliqueCoverResult assembled_;
-  bool assembled_valid_ = false;
+  CliqueCoverResult cover_;
+  bool cover_valid_ = false;
   std::uint64_t cover_version_ = 0;
 
   CliqueMaintainerStats stats_{};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -16,8 +17,8 @@
 namespace s3::social {
 namespace {
 
-/// Both assemblies must agree bit for bit — clique lists, exactness,
-/// and the search-tree size — or the incremental bookkeeping diverged.
+/// Two covers must agree bit for bit: clique lists, exactness, and the
+/// search-tree size.
 void expect_bitwise_equal(const CliqueCoverResult& a,
                           const CliqueCoverResult& b) {
   ASSERT_EQ(a.cliques, b.cliques);
@@ -25,25 +26,49 @@ void expect_bitwise_equal(const CliqueCoverResult& a,
   ASSERT_EQ(a.nodes_explored, b.nodes_explored);
 }
 
+using Edge = std::tuple<UserId, UserId, double>;
+
+/// The maintainer's edges, each once as (u, v, θ) with u < v, in
+/// ascending (u, v) order.
+std::vector<Edge> mirrored_edges(const CliqueMaintainer& m) {
+  std::vector<Edge> out;
+  for (UserId u = 0; u < m.num_users(); ++u) {
+    for (const CliqueMaintainer::Neighbor& nb : m.neighbors(u)) {
+      if (nb.id > u) out.emplace_back(u, nb.id, nb.weight);
+    }
+  }
+  return out;
+}
+
+/// The cover of a fresh maintainer given `edges` in reverse order: the
+/// reference a maintained cover must equal, since a cover depends only
+/// on the edge set.
+CliqueCoverResult fresh_cover(std::size_t users,
+                              const CliqueMaintainerConfig& config,
+                              const std::vector<Edge>& edges) {
+  CliqueMaintainer fresh(users, config);
+  for (auto it = edges.rbegin(); it != edges.rend(); ++it) {
+    fresh.set_theta(std::get<0>(*it), std::get<1>(*it), std::get<2>(*it));
+  }
+  return fresh.cover();
+}
+
 /// The maintainer's edge set as a dense graph over its `users` users,
 /// for feeding check::validate_clique_cover.
 WeightedGraph dense_view(const CliqueMaintainer& m, std::size_t users) {
   WeightedGraph g(users);
-  for (UserId u = 0; u < users; ++u) {
-    for (const CliqueMaintainer::Neighbor& nb : m.neighbors(u)) {
-      if (nb.id > u) g.add_edge(u, nb.id, nb.weight);
-    }
-  }
+  for (const auto& [u, v, weight] : mirrored_edges(m)) g.add_edge(u, v, weight);
   return g;
 }
 
 // --- randomized differential suite ----------------------------------
 
 /// 1e5 seeded insert/delete/re-weight ops with community structure
-/// (intra-community pairs are favored, so components merge and split
-/// constantly). The cover is compared bitwise against the cache-free
-/// from-scratch solve at regular intervals, and validated as an exact
-/// partition (including the stale-cover rule) at the end.
+/// (intra-community pairs are favored, so components join and fall
+/// apart constantly). The cover is compared bitwise at regular
+/// intervals against a fresh maintainer given the same edges in
+/// reverse order, and validated as an exact partition (including the
+/// stale-cover rule) at the end.
 TEST(CliqueMaintainer, RandomChurnMatchesFromScratch) {
   constexpr std::size_t kUsers = 48;
   constexpr std::size_t kCommunity = 6;
@@ -68,7 +93,8 @@ TEST(CliqueMaintainer, RandomChurnMatchesFromScratch) {
                 0, static_cast<std::int64_t>(kCommunity) - 1)));
       } while (v == u);
     } else {
-      // Cross-community bridges: merge, then (on decay) split again.
+      // Cross-community bridges: join communities, then (on decay)
+      // part them again.
       u = static_cast<UserId>(rng.uniform_int(0, kUsers - 1));
       do {
         v = static_cast<UserId>(rng.uniform_int(0, kUsers - 1));
@@ -84,33 +110,16 @@ TEST(CliqueMaintainer, RandomChurnMatchesFromScratch) {
     // 0.3 threshold, so inserts, deletes, and re-weights all flow.
     m.set_theta(u, v, rng.uniform(0.0, 0.6));
     if (op % 977 == 0 || op + 1 == kOps) {
-      expect_bitwise_equal(m.cover(), m.solve_from_scratch());
+      expect_bitwise_equal(m.cover(),
+                           fresh_cover(kUsers, cfg, mirrored_edges(m)));
     }
   }
 
-  // The churn must actually have exercised every structural path.
+  // The churn must actually have exercised every mutation path.
   const CliqueMaintainerStats& st = m.stats();
   EXPECT_GT(st.edges_inserted, 0u);
   EXPECT_GT(st.edges_removed, 0u);
   EXPECT_GT(st.edges_reweighted, 0u);
-  EXPECT_GT(st.component_merges, 0u);
-  EXPECT_GT(st.component_splits, 0u);
-
-  // Carve community 0 out of the graph entirely — its six users become
-  // isolated singleton components next to the (densely connected)
-  // remainder — then touch only the remainder: the singletons must be
-  // served from cache.
-  for (UserId u = 0; u < kCommunity; ++u) {
-    for (UserId v = 0; v < kUsers; ++v) {
-      if (v != u) m.set_theta(u, v, 0.0);
-    }
-  }
-  expect_bitwise_equal(m.cover(), m.solve_from_scratch());
-  const std::uint64_t reused_before = m.stats().components_reused;
-  m.set_theta(static_cast<UserId>(kCommunity),
-              static_cast<UserId>(kCommunity + 1), 0.99);
-  expect_bitwise_equal(m.cover(), m.solve_from_scratch());
-  EXPECT_GT(m.stats().components_reused, reused_before);
 
   // The final cover is a valid, non-stale partition of the edge set.
   const CliqueCoverResult& final_cover = m.cover();
@@ -125,42 +134,50 @@ TEST(CliqueMaintainer, ExactEqualReweightLeavesEverythingClean) {
   m.set_theta(2, 3, 0.8);
   m.cover();
   const std::uint64_t version = m.cover_version();
+  const std::uint64_t solved = m.stats().components_solved;
   m.set_theta(0, 1, 0.9);  // bitwise-identical θ: must be a no-op
-  EXPECT_EQ(m.dirty_components(), 0u);
+  m.set_theta(1, 2, 0.3);  // a non-edge staying at the threshold
   m.cover();
+  m.cover();  // a repeated query serves the cached cover
   EXPECT_EQ(m.cover_version(), version);
+  EXPECT_EQ(m.stats().components_solved, solved);
   EXPECT_EQ(m.stats().edges_reweighted, 0u);
+  EXPECT_EQ(m.stats().cover_queries, 3u);
 }
 
-TEST(CliqueMaintainer, CleanComponentsAreServedFromCache) {
-  CliqueMaintainer m(6);
+TEST(CliqueMaintainer, EveryEdgeChangeBumpsTheCoverVersion) {
+  CliqueMaintainer m(4);
   m.set_theta(0, 1, 0.9);
-  m.set_theta(2, 3, 0.8);
-  m.set_theta(4, 5, 0.7);
-  m.cover();
-  m.set_theta(0, 1, 0.95);  // only {0, 1} goes dirty
-  const std::uint64_t solved_before = m.stats().components_solved;
-  const std::uint64_t reused_before = m.stats().components_reused;
-  expect_bitwise_equal(m.cover(), m.solve_from_scratch());
-  EXPECT_EQ(m.stats().components_solved - solved_before, 1u);
-  EXPECT_EQ(m.stats().components_reused - reused_before, 2u);
+  m.cover();  // components {0, 1}, {2}, {3}
+  ASSERT_EQ(m.stats().components_solved, 3u);
+  struct Step {
+    UserId u;
+    UserId v;
+    double theta;
+    std::uint64_t components;  ///< after the step
+  };
+  const Step steps[] = {
+      {2, 3, 0.8, 2},   // crossing up: an insert
+      {0, 1, 0.95, 2},  // a weight change
+      {2, 3, 0.1, 3},   // crossing down: a removal
+      {0, 1, std::numeric_limits<double>::quiet_NaN(), 4},  // non-finite
+  };
+  for (const Step& s : steps) {
+    SCOPED_TRACE(testing::Message() << "(" << s.u << ", " << s.v << ") <- "
+                                    << s.theta);
+    const std::uint64_t version = m.cover_version();
+    const std::uint64_t solved = m.stats().components_solved;
+    m.set_theta(s.u, s.v, s.theta);
+    m.cover();
+    EXPECT_EQ(m.cover_version(), version + 1);
+    // Every recompute solves every component.
+    EXPECT_EQ(m.stats().components_solved - solved, s.components);
+  }
+  EXPECT_EQ(m.num_edges(), 0u);
+  EXPECT_EQ(m.cover().cliques.size(), 4u);
 }
 
 // --- sync against a live model -------------------------------------
-
-using Edge = std::tuple<UserId, UserId, double>;
-
-/// The maintainer's edges, each once as (u, v, θ) with u < v, in
-/// ascending (u, v) order.
-std::vector<Edge> mirrored_edges(const CliqueMaintainer& m) {
-  std::vector<Edge> out;
-  for (UserId u = 0; u < m.num_users(); ++u) {
-    for (const CliqueMaintainer::Neighbor& nb : m.neighbors(u)) {
-      if (nb.id > u) out.emplace_back(u, nb.id, nb.weight);
-    }
-  }
-  return out;
-}
 
 /// The provider's strict-threshold edges by the full θ sweep, in the
 /// same order.
@@ -204,7 +221,8 @@ TEST(CliqueMaintainer, SyncAgainstFrozenModelSeedsOnceThenIdles) {
     EXPECT_EQ(weight, model.theta(u, v));
     EXPECT_GT(weight, m.config().theta_threshold);
   }
-  expect_bitwise_equal(m.cover(), m.solve_from_scratch());
+  expect_bitwise_equal(m.cover(), fresh_cover(m.num_users(), m.config(),
+                                               swept_edges(model)));
 }
 
 TEST(CliqueMaintainer, SyncFollowsOnlineModelDeltas) {
@@ -240,14 +258,16 @@ TEST(CliqueMaintainer, SyncFollowsOnlineModelDeltas) {
     if (replayed % 97 == 0) {
       EXPECT_TRUE(m.sync(online));
       EXPECT_EQ(mirrored_edges(m), swept_edges(online));
-      expect_bitwise_equal(m.cover(), m.solve_from_scratch());
+      expect_bitwise_equal(m.cover(), fresh_cover(m.num_users(), m.config(),
+                                                 swept_edges(online)));
     }
   }
   EXPECT_TRUE(m.sync(online));
   EXPECT_EQ(m.stats().reseeds, 1u);
   EXPECT_GT(online.updated_pairs(), 0u);
   EXPECT_EQ(mirrored_edges(m), swept_edges(online));
-  expect_bitwise_equal(m.cover(), m.solve_from_scratch());
+  expect_bitwise_equal(m.cover(), fresh_cover(m.num_users(), m.config(),
+                                               swept_edges(online)));
 }
 
 }  // namespace
