@@ -395,33 +395,30 @@ std::string window_str(util::SimTime b, util::SimTime e) {
          std::to_string(e.seconds()) + ")";
 }
 
-/// Flags empty/inverted windows and — sorted per entity — overlaps.
+/// Flags empty/inverted windows and, per entity, every window that
+/// starts before the latest end of that entity's earlier non-empty
+/// windows (sorted by (id, begin, end)).
 template <typename Outage, typename IdOf>
 void check_outage_windows(CheckReport& report, std::string_view what,
                           std::vector<Outage> outages, IdOf id_of) {
-  // s3lint: allow(det-sort-ties): equal (id, begin) windows order the overlap
-  // report; ties reach output; see CHANGES.md, FOUND det-sort-ties
-  std::sort(outages.begin(), outages.end(),
-            [&](const Outage& a, const Outage& b) {
-              if (id_of(a) != id_of(b)) return id_of(a) < id_of(b);
-              return a.begin < b.begin;
-            });
-  for (std::size_t i = 0; i < outages.size(); ++i) {
-    const Outage& o = outages[i];
+  std::sort(outages.begin(), outages.end());
+  const Outage* latest = nullptr;  ///< this id's window reaching furthest
+  for (const Outage& o : outages) {
+    if (latest != nullptr && id_of(*latest) != id_of(o)) latest = nullptr;
     if (o.begin >= o.end) {
       report.add(kFaultPlan,
                  std::string(what) + " " + std::to_string(id_of(o)) +
                      ": empty outage window " + window_str(o.begin, o.end));
       continue;
     }
-    if (i > 0 && id_of(outages[i - 1]) == id_of(o) &&
-        outages[i - 1].end > o.begin && outages[i - 1].begin < outages[i - 1].end) {
+    if (latest != nullptr && latest->end > o.begin) {
       report.add(kFaultPlan,
                  std::string(what) + " " + std::to_string(id_of(o)) +
                      ": outage windows overlap: " +
-                     window_str(outages[i - 1].begin, outages[i - 1].end) +
-                     " and " + window_str(o.begin, o.end));
+                     window_str(latest->begin, latest->end) + " and " +
+                     window_str(o.begin, o.end));
     }
+    if (latest == nullptr || o.end > latest->end) latest = &o;
   }
 }
 

@@ -61,14 +61,14 @@ EigenResult symmetric_eigen(const std::vector<double>& matrix,
     }
   }
 
-  // Sort by eigenvalue, descending; eigenvector i is column i of v.
+  // Sort by eigenvalue, descending, equal eigenvalues in column order;
+  // eigenvector i is column i of v.
   std::vector<std::size_t> order(dim);
   std::iota(order.begin(), order.end(), std::size_t{0});
-  // s3lint: allow(det-sort-ties): equal eigenvalues order the components; ties
-  // reach output; see CHANGES.md, FOUND det-sort-ties
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return a[x * dim + x] > a[y * dim + y];
-  });
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t x, std::size_t y) {
+                     return a[x * dim + x] > a[y * dim + y];
+                   });
 
   EigenResult result;
   result.eigenvalues.resize(dim);

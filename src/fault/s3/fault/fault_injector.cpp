@@ -25,9 +25,8 @@ FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t seed)
   std::sort(by_ap_.begin(), by_ap_.end(),
             [](const ApWindows& a, const ApWindows& b) { return a.ap < b.ap; });
   for (ApWindows& w : by_ap_) {
-    // s3lint: allow(det-sort-ties): only overlapping windows of one AP tie, and
-    // the lookup misreads those; ties reach output; see CHANGES.md, FOUND
-    // det-sort-ties
+    // s3lint: allow(det-sort-ties): ties cannot occur: validate_plan keeps one
+    // AP's windows non-empty and disjoint
     std::sort(w.windows.begin(), w.windows.end(),
               [](const util::TimeInterval& a, const util::TimeInterval& b) {
                 return a.begin < b.begin;

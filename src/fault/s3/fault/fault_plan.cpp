@@ -217,29 +217,35 @@ void validate_plan(const FaultPlan& plan, const wlan::Network* net) {
     }
   }
   {
+    // Per-AP windows must be disjoint (half-open, so touching ones are
+    // fine): FaultInjector::ap_down answers from the last window that
+    // starts at or before t, which covers t only if no earlier window
+    // of that AP reaches past it.
+    std::vector<ApOutage> sorted = plan.ap_outages;
+    std::sort(sorted.begin(), sorted.end());
+    for (std::size_t i = 1; i < sorted.size(); ++i) {
+      if (sorted[i - 1].ap != sorted[i].ap) continue;
+      S3_REQUIRE(sorted[i - 1].end <= sorted[i].begin,
+                 "ap outage windows overlap for one AP");
+    }
+  }
+  for (const ControllerOutage& o : plan.controller_outages) {
+    S3_REQUIRE(o.begin < o.end, "controller outage window is empty");
+    if (net != nullptr) {
+      S3_REQUIRE(o.controller < net->num_controllers(),
+                 "controller outage references unknown controller");
+    }
+  }
+  {
     // Per-controller windows must be disjoint: a window's begin crashes
     // a live replica and its end restarts that same replica, so an
     // overlap would leave crash/restart unpairable.
     std::vector<ControllerOutage> sorted = plan.controller_outages;
-    // s3lint: allow(det-sort-ties): ties pick which error rejects an invalid
-    // plan; ties reach output; see CHANGES.md, FOUND det-sort-ties
-    std::sort(sorted.begin(), sorted.end(),
-              [](const ControllerOutage& a, const ControllerOutage& b) {
-                return a.controller != b.controller
-                           ? a.controller < b.controller
-                           : a.begin < b.begin;
-              });
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      const ControllerOutage& o = sorted[i];
-      S3_REQUIRE(o.begin < o.end, "controller outage window is empty");
-      if (net != nullptr) {
-        S3_REQUIRE(o.controller < net->num_controllers(),
-                   "controller outage references unknown controller");
-      }
-      if (i > 0 && sorted[i - 1].controller == o.controller) {
-        S3_REQUIRE(sorted[i - 1].end <= o.begin,
-                   "controller outage windows overlap for one controller");
-      }
+    std::sort(sorted.begin(), sorted.end());
+    for (std::size_t i = 1; i < sorted.size(); ++i) {
+      if (sorted[i - 1].controller != sorted[i].controller) continue;
+      S3_REQUIRE(sorted[i - 1].end <= sorted[i].begin,
+                 "controller outage windows overlap for one controller");
     }
   }
   {

@@ -31,6 +31,9 @@ struct ApOutage {
   ApId ap = kInvalidAp;
   util::SimTime begin;
   util::SimTime end;
+
+  /// By (id, begin, end), so a sort of windows is a value sort.
+  constexpr auto operator<=>(const ApOutage&) const noexcept = default;
 };
 
 /// The controller serving one domain crashes at `begin` and restarts at
@@ -44,6 +47,9 @@ struct ControllerOutage {
   ControllerId controller = kInvalidController;
   util::SimTime begin;
   util::SimTime end;
+
+  /// By (id, begin, end), so a sort of windows is a value sort.
+  constexpr auto operator<=>(const ControllerOutage&) const noexcept = default;
 };
 
 /// The controller *and its whole replica set* are lost for
@@ -59,6 +65,9 @@ struct ControllerLoss {
   ControllerId controller = kInvalidController;
   util::SimTime begin;
   util::SimTime end;
+
+  /// By (id, begin, end), so a sort of windows is a value sort.
+  constexpr auto operator<=>(const ControllerLoss&) const noexcept = default;
 };
 
 /// Social model unreachable (or known-stale) for the window; policies

@@ -399,6 +399,20 @@ TEST_F(ValidatorsTest, FaultPlanFlagsWindowProblems) {
             report.issues().size());
 }
 
+// Each window is compared with the latest end among its AP's earlier
+// windows, so an empty window between two others hides no overlap.
+TEST_F(ValidatorsTest, FaultPlanEmptyWindowDoesNotHideAnOverlap) {
+  const ScopedContractMode scoped(ContractMode::kCount);
+  fault::FaultPlan plan;
+  plan.ap_outages.push_back({0, util::SimTime(6), util::SimTime(8)});
+  plan.ap_outages.push_back({0, util::SimTime(5), util::SimTime(5)});
+  plan.ap_outages.push_back({0, util::SimTime(0), util::SimTime(10)});
+  const CheckReport report = validate_fault_plan(plan);
+  EXPECT_TRUE(mentions(report, "ap 0: empty outage window [5, 5)"));
+  EXPECT_TRUE(mentions(report, "ap 0: outage windows overlap: [0, 10) and [6, 8)"));
+  EXPECT_EQ(report.issues().size(), 2u);
+}
+
 TEST_F(ValidatorsTest, FaultPlanFlagsUnknownIdsOnlyWithATopology) {
   const ScopedContractMode scoped(ContractMode::kCount);
   fault::FaultPlan plan;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "s3/fault/degradation.h"
 #include "s3/fault/retry_queue.h"
 #include "testing/mini.h"
@@ -24,6 +26,25 @@ TEST(FaultInjector, ApOutageWindowsAreHalfOpen) {
   EXPECT_TRUE(inj.ap_down(2, util::SimTime(350)));
   EXPECT_FALSE(inj.ap_down(2, util::SimTime(250)));
   EXPECT_FALSE(inj.ap_down(0, util::SimTime(150)));  // other AP untouched
+}
+
+// ap_down answers from the last window starting at or before t, so
+// overlapping windows of one AP would hide an outage: [0, 20) covers
+// t = 15 s, but [5, 10) is the last window to start before it. Such a
+// plan is refused; touching half-open windows are not overlaps.
+TEST(FaultInjector, RejectsOverlappingApOutagesAndAcceptsTouchingOnes) {
+  FaultPlan plan;
+  plan.ap_outages.push_back({0, util::SimTime(0), util::SimTime(20)});
+  plan.ap_outages.push_back({0, util::SimTime(5), util::SimTime(10)});
+  EXPECT_THROW(FaultInjector{plan}, std::invalid_argument);
+
+  plan.ap_outages[1] = {0, util::SimTime(20), util::SimTime(30)};
+  plan.ap_outages.push_back({1, util::SimTime(5), util::SimTime(10)});
+  const FaultInjector inj(plan);
+  EXPECT_TRUE(inj.ap_down(0, util::SimTime(15)));
+  EXPECT_TRUE(inj.ap_down(0, util::SimTime(20)));
+  EXPECT_FALSE(inj.ap_down(0, util::SimTime(30)));
+  EXPECT_TRUE(inj.ap_down(1, util::SimTime(5)));
 }
 
 TEST(FaultInjector, ModelAvailabilityAndCliqueBudget) {

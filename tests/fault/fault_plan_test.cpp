@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "testing/mini.h"
 
@@ -229,6 +230,32 @@ TEST(FaultPlanValidate, RejectsLossOverlappingLossOrOutage) {
   const auto net = mini_network(4, 2);
   plan.controller_losses[0].controller = 9;
   EXPECT_THROW(validate_plan(plan, &net), std::invalid_argument);
+}
+
+// Every controller window is checked for emptiness before any is
+// compared with its neighbour, so a plan holding both an empty window
+// and an overlap is always refused as empty, whatever order the sort
+// leaves tied windows in.
+TEST(FaultPlanValidate, EmptyControllerWindowIsReportedBeforeAnOverlap) {
+  FaultPlan plan;
+  plan.controller_outages.push_back({0, util::SimTime(0), util::SimTime(10)});
+  plan.controller_outages.push_back({0, util::SimTime(5), util::SimTime(8)});
+  plan.controller_outages.push_back({0, util::SimTime(5), util::SimTime(5)});
+  try {
+    validate_plan(plan);
+    ADD_FAILURE() << "plan with an empty window accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("empty"), std::string::npos)
+        << e.what();
+  }
+  plan.controller_outages.pop_back();
+  try {
+    validate_plan(plan);
+    ADD_FAILURE() << "overlapping windows accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("overlap"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FaultPlanCanned, ControllerLossStaggersDisjointWindows) {
