@@ -4,6 +4,7 @@
 #include <charconv>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "s3/util/error.h"
 #include "s3/wlan/network.h"
@@ -209,6 +210,24 @@ void write_fault_plan_file(const FaultPlan& plan, const std::string& path) {
   out << write_fault_plan(plan);
 }
 
+namespace {
+
+/// Requires each id's windows to be pairwise disjoint; they are
+/// half-open, so touching ones are fine. The windows compare by (id,
+/// begin, end) and are non-empty (checked first), so once sorted, any
+/// overlap shows between neighbours.
+template <typename Window, typename IdOf>
+void require_disjoint(std::vector<Window> windows, IdOf id_of,
+                      const char* message) {
+  std::sort(windows.begin(), windows.end());
+  for (std::size_t i = 1; i < windows.size(); ++i) {
+    if (id_of(windows[i - 1]) != id_of(windows[i])) continue;
+    S3_REQUIRE(windows[i - 1].end <= windows[i].begin, message);
+  }
+}
+
+}  // namespace
+
 void validate_plan(const FaultPlan& plan, const wlan::Network* net) {
   for (const ApOutage& o : plan.ap_outages) {
     S3_REQUIRE(o.begin < o.end, "ap outage window is empty");
@@ -216,19 +235,11 @@ void validate_plan(const FaultPlan& plan, const wlan::Network* net) {
       S3_REQUIRE(o.ap < net->num_aps(), "ap outage references unknown AP");
     }
   }
-  {
-    // Per-AP windows must be disjoint (half-open, so touching ones are
-    // fine): FaultInjector::ap_down answers from the last window that
-    // starts at or before t, which covers t only if no earlier window
-    // of that AP reaches past it.
-    std::vector<ApOutage> sorted = plan.ap_outages;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t i = 1; i < sorted.size(); ++i) {
-      if (sorted[i - 1].ap != sorted[i].ap) continue;
-      S3_REQUIRE(sorted[i - 1].end <= sorted[i].begin,
-                 "ap outage windows overlap for one AP");
-    }
-  }
+  // FaultInjector::ap_down answers from the last window that starts at
+  // or before t, which covers t only if no earlier window of that AP
+  // reaches past it.
+  require_disjoint(plan.ap_outages, [](const ApOutage& o) { return o.ap; },
+                   "ap outage windows overlap for one AP");
   for (const ControllerOutage& o : plan.controller_outages) {
     S3_REQUIRE(o.begin < o.end, "controller outage window is empty");
     if (net != nullptr) {
@@ -236,56 +247,29 @@ void validate_plan(const FaultPlan& plan, const wlan::Network* net) {
                  "controller outage references unknown controller");
     }
   }
-  {
-    // Per-controller windows must be disjoint: a window's begin crashes
-    // a live replica and its end restarts that same replica, so an
-    // overlap would leave crash/restart unpairable.
-    std::vector<ControllerOutage> sorted = plan.controller_outages;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t i = 1; i < sorted.size(); ++i) {
-      if (sorted[i - 1].controller != sorted[i].controller) continue;
-      S3_REQUIRE(sorted[i - 1].end <= sorted[i].begin,
-                 "controller outage windows overlap for one controller");
+  // A window's begin crashes a live replica and its end restarts that
+  // same replica, so an overlap would leave crash/restart unpairable.
+  const auto controller_of = [](const ControllerOutage& o) {
+    return o.controller;
+  };
+  require_disjoint(plan.controller_outages, controller_of,
+                   "controller outage windows overlap for one controller");
+  // Losses follow the same pairing logic (begin kills, end revives), and
+  // additionally must not overlap the same controller's outage windows:
+  // a controller cannot crash one replica while its whole replica set is
+  // already gone. Check the union per controller.
+  std::vector<ControllerOutage> merged = plan.controller_outages;
+  for (const ControllerLoss& o : plan.controller_losses) {
+    S3_REQUIRE(o.begin < o.end, "controller loss window is empty");
+    if (net != nullptr) {
+      S3_REQUIRE(o.controller < net->num_controllers(),
+                 "controller loss references unknown controller");
     }
+    merged.push_back({o.controller, o.begin, o.end});
   }
-  {
-    // Losses follow the same pairing logic (begin kills, end revives),
-    // and additionally must not overlap the same controller's outage
-    // windows: a controller cannot crash one replica while its whole
-    // replica set is already gone. Check the union per controller.
-    struct Window {
-      ControllerId controller;
-      util::SimTime begin;
-      util::SimTime end;
-    };
-    std::vector<Window> merged;
-    merged.reserve(plan.controller_losses.size() +
-                   plan.controller_outages.size());
-    for (const ControllerLoss& o : plan.controller_losses) {
-      S3_REQUIRE(o.begin < o.end, "controller loss window is empty");
-      if (net != nullptr) {
-        S3_REQUIRE(o.controller < net->num_controllers(),
-                   "controller loss references unknown controller");
-      }
-      merged.push_back({o.controller, o.begin, o.end});
-    }
-    for (const ControllerOutage& o : plan.controller_outages) {
-      merged.push_back({o.controller, o.begin, o.end});
-    }
-    // s3lint: allow(det-sort-ties): ties cannot reach output: equal
-    // (controller, begin) windows overlap and fail the one check below
-    std::sort(merged.begin(), merged.end(),
-              [](const Window& a, const Window& b) {
-                return a.controller != b.controller ? a.controller < b.controller
-                                                    : a.begin < b.begin;
-              });
-    for (std::size_t i = 1; i < merged.size(); ++i) {
-      if (merged[i - 1].controller != merged[i].controller) continue;
-      S3_REQUIRE(merged[i - 1].end <= merged[i].begin,
-                 "controller loss window overlaps another loss or outage "
-                 "window of the same controller");
-    }
-  }
+  require_disjoint(std::move(merged), controller_of,
+                   "controller loss window overlaps another loss or outage "
+                   "window of the same controller");
   for (const ModelOutage& o : plan.model_outages) {
     S3_REQUIRE(o.begin < o.end, "model outage window is empty");
   }

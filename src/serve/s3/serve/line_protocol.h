@@ -21,7 +21,7 @@
 //   social users=<n> cliques=<n> singletons=<n> largest=<n>
 //          cohesion=<x.xxxxxx> exact=<0|1> incremental=<0|1>
 //          cover_version=<n> deltas=<n> solved=<n> reseeds=<n>
-//                                                        (one line)
+//                                                    (one line)
 //
 // `social` serves ServePipeline::social_snapshot(): the maintained
 // clique cover of the live θ-graph plus the cohesion score (θ mass of

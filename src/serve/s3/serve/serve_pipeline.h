@@ -182,8 +182,8 @@ class ServePipeline {
   /// Current social structure (see SocialSnapshot). Thread-safe; the
   /// first call seeds the maintained θ-graph from the trained model's
   /// recorded pairs, and every call re-applies θ for each pair of
-  /// model().merged() and re-solves the cover only if an edge moved. A domain's
-  /// calls wait only while its live pairs are absorbed.
+  /// model().merged() and re-solves the cover only if an edge moved.
+  /// A domain's calls wait only while its live pairs are absorbed.
   SocialSnapshot social_snapshot();
 
   /// Degradation state of `domain`; takes that domain's lock.
