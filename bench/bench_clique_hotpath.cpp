@@ -15,8 +15,8 @@
 //
 // The final cover must equal the cover of a freshly seeded maintainer
 // given the same re-weights, bit for bit; the bench exits 1 otherwise.
-// Results go to BENCH_clique.json: the times, peak RSS, and the first
-// cover's shape and digest (a changed digest is a changed cover).
+// Results go to BENCH_clique.json: the times and the first cover's
+// shape and digest (a changed digest is a changed cover).
 // `--scale full` is the paper-scale campus of ROADMAP item 4's ≤ 2 s
 // goal.
 //
@@ -46,21 +46,6 @@ namespace {
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-/// Peak resident set size in MB (VmHWM from /proc/self/status; 0 when
-/// the platform does not expose it).
-double peak_rss_mb() {
-  std::ifstream status("/proc/self/status");
-  std::string word;
-  while (status >> word) {
-    if (word == "VmHWM:") {
-      double kb = 0.0;
-      status >> kb;
-      return kb / 1024.0;
-    }
-  }
-  return 0.0;
 }
 
 /// FNV-1a over every clique's size and members, in cover order.
@@ -175,7 +160,6 @@ int main(int argc, char** argv) {
   char digest[24];
   std::snprintf(digest, sizeof(digest), "%016llx",
                 static_cast<unsigned long long>(cover_digest(first)));
-  const double rss_mb = peak_rss_mb();
 
   std::ofstream json(out_path);
   if (!json) {
@@ -198,7 +182,6 @@ int main(int argc, char** argv) {
        << "  \"resolve_s_median\": " << util::fmt(resolve_median, 4) << ",\n"
        << "  \"resolve_s_max\": "
        << util::fmt(sorted.empty() ? 0.0 : sorted.back(), 4) << ",\n"
-       << "  \"peak_rss_mb\": " << util::fmt(rss_mb, 1) << ",\n"
        << "  \"cover\": {\n"
        << "    \"cliques\": " << multi << ",\n"
        << "    \"singletons\": " << first.cliques.size() - multi << ",\n"
@@ -206,8 +189,7 @@ int main(int argc, char** argv) {
        << "    \"exact\": " << (first.exact ? "true" : "false") << ",\n"
        << "    \"nodes_explored\": " << first.nodes_explored << ",\n"
        << "    \"digest\": \"" << digest << "\"\n"
-       << "  },\n"
-       << "  \"matches_fresh_maintainer\": true\n"
+       << "  }\n"
        << "}\n";
   std::cout << "graph: " << m.num_users() << " users, " << m.num_edges()
             << " edges, " << components << " components\n"
@@ -215,8 +197,7 @@ int main(int argc, char** argv) {
             << util::fmt(first_cover_s, 3) << " s (" << multi
             << " cliques, largest " << largest << ", digest " << digest
             << "), re-solve median " << util::fmt(resolve_median, 3)
-            << " s over " << rounds << " rounds, peak RSS "
-            << util::fmt(rss_mb, 1) << " MB\n"
+            << " s over " << rounds << " rounds\n"
             << "wrote " << out_path << "\n";
   bench::maybe_dump_metrics(args);
   return 0;
