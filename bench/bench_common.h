@@ -73,8 +73,9 @@ inline util::ParsedArgs parse_raw_args(
   return parsed.args;
 }
 
-inline BenchArgs parse_args(int argc, char** argv) {
-  const util::ParsedArgs raw = parse_raw_args(argc, argv);
+/// The common flags' values from `raw` (see parse_raw_args); an
+/// unknown scale prints usage and exits 2.
+inline BenchArgs common_args(const util::ParsedArgs& raw) {
   BenchArgs args;
   args.scale = raw.get("scale", args.scale);
   if (args.scale != "small" && args.scale != "medium" &&
@@ -89,6 +90,10 @@ inline BenchArgs parse_args(int argc, char** argv) {
       raw.num("threads", static_cast<long>(args.threads)));
   args.metrics = raw.has("metrics");
   return args;
+}
+
+inline BenchArgs parse_args(int argc, char** argv) {
+  return common_args(parse_raw_args(argc, argv));
 }
 
 /// Generator configuration per scale. Training span (21 d) + test span

@@ -114,11 +114,7 @@ int main(int argc, char** argv) {
       {"out", util::ArgKind::kString, "JSON output (BENCH_failover.json)"},
   };
   const util::ParsedArgs raw = bench::parse_raw_args(argc, argv, kExtra);
-  bench::BenchArgs args;
-  args.scale = raw.get("scale", args.scale);
-  args.seed = static_cast<std::uint64_t>(raw.num("seed", 42));
-  args.threads = static_cast<unsigned>(raw.num("threads", 0));
-  args.metrics = raw.has("metrics");
+  const bench::BenchArgs args = bench::common_args(raw);
   const bool quick = raw.has("quick");
   const std::string out_path = raw.get("out", "BENCH_failover.json");
 

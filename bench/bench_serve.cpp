@@ -161,10 +161,7 @@ int main(int argc, char** argv) {
        "fail if tput(8 threads)/tput(1 thread) drops below this"},
   };
   const util::ParsedArgs raw = bench::parse_raw_args(argc, argv, kExtra);
-  bench::BenchArgs args;
-  args.scale = raw.get("scale", "small");
-  args.seed = static_cast<std::uint64_t>(raw.num("seed", 42));
-  args.metrics = raw.has("metrics");
+  const bench::BenchArgs args = bench::common_args(raw);
   const bool quick = raw.has("quick");
   const std::string out_path = raw.get("out", "BENCH_serve.json");
   const std::size_t ops = static_cast<std::size_t>(

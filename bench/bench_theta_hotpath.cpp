@@ -89,11 +89,7 @@ int main(int argc, char** argv) {
        "fail if pairstore/map lookup ratio drops below this"},
   };
   const util::ParsedArgs raw = bench::parse_raw_args(argc, argv, kExtra);
-  bench::BenchArgs args;
-  args.scale = raw.get("scale", "small");
-  args.seed = static_cast<std::uint64_t>(raw.num("seed", 42));
-  args.threads = static_cast<unsigned>(raw.num("threads", 0));
-  args.metrics = raw.has("metrics");
+  const bench::BenchArgs args = bench::common_args(raw);
   const bool quick = raw.has("quick");
   const std::string out_path = raw.get("out", "BENCH_theta.json");
   const double min_speedup = raw.real("min-speedup", 0.0);
