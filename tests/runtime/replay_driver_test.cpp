@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -11,6 +12,7 @@
 
 #include "s3/core/baselines.h"
 #include "s3/core/evaluation.h"
+#include "s3/core/online_s3.h"
 #include "s3/core/selector_factory.h"
 #include "s3/sim/replay.h"
 #include "s3/trace/generator.h"
@@ -101,6 +103,143 @@ TEST(ReplayDriver, SequentialMatchesShardedForStatelessPolicy) {
   const ReplayDriver driver(w.network);
   expect_identical(driver.run(w.workload, f),
                    driver.run_sequential(w.workload, shared));
+}
+
+/// 64-bit FNV-1a over a sequence of integers.
+class Fold {
+ public:
+  void add(std::uint64_t v) noexcept {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffU;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/// LLF that folds every call the engines make on it, in call order: the
+/// session list of each place_batch, and each on_associate and
+/// on_disconnect with its AP and time.
+class RecordingSelector final : public sim::ApSelector {
+ public:
+  std::string_view name() const override { return "recording"; }
+  ApId select_one(const sim::Arrival& a,
+                  const sim::ApLoadTracker& loads) override {
+    return llf_.select_one(a, loads);
+  }
+  sim::BatchResult place_batch(const sim::BatchRequest& request,
+                               const sim::ApLoadTracker& loads) override {
+    calls_.add(1);
+    calls_.add(request.arrivals.size());
+    for (const sim::Arrival& a : request.arrivals) calls_.add(a.session_index);
+    return llf_.place_batch(request, loads);
+  }
+  void on_associate(const sim::Arrival& a, ApId ap) override {
+    calls_.add(2);
+    calls_.add(a.session_index);
+    calls_.add(ap);
+    calls_.add(static_cast<std::uint64_t>(a.connect.seconds()));
+  }
+  void on_disconnect(std::size_t session, UserId /*user*/, ApId ap,
+                     util::SimTime when) override {
+    calls_.add(3);
+    calls_.add(session);
+    calls_.add(ap);
+    calls_.add(static_cast<std::uint64_t>(when.seconds()));
+  }
+  std::uint64_t calls() const noexcept { return calls_.value(); }
+
+ private:
+  core::LlfSelector llf_;
+  Fold calls_;
+};
+
+std::uint64_t fold_assignments(const sim::ReplayResult& r) {
+  Fold f;
+  for (std::size_t i = 0; i < r.assigned.size(); ++i) {
+    f.add(r.assigned.session(i).ap);
+  }
+  return f.value();
+}
+
+// run_sequential hands one shared policy every domain's events in one
+// global order, so a stateful policy's calls and placements depend on
+// that order. The digests pin it on three domains at two dispatch
+// windows: a recording LLF's call log, and the placements of a shared
+// random selector (its draws follow the call order) and a shared
+// online S3 (it learns across domains).
+TEST(ReplayDriver, SequentialOrderIsPinnedForSharedStatefulPolicies) {
+  const trace::GeneratedTrace& w = shared_world();
+  ASSERT_EQ(w.network.num_controllers(), 3u);
+  core::EvaluationConfig eval;
+  eval.train_days = 2;
+  eval.test_days = 1;
+  const social::SocialIndexModel model =
+      core::train_from_workload(w.network, w.workload, eval);
+
+  struct Pinned {
+    std::int64_t window_s;
+    std::uint64_t calls;
+    std::uint64_t random;
+    std::uint64_t online;
+  };
+  const Pinned pinned[] = {
+      {0, 0xd323c30bad22a197ULL, 0x70ea7fce498a02ecULL, 0x6b895a58da987f6aULL},
+      {120, 0x310a69083e6b66abULL, 0xab5a2d0c15d45d2fULL,
+       0x67be3ec63c4642ceULL},
+  };
+  for (const Pinned& p : pinned) {
+    ReplayDriverConfig rc;
+    rc.replay.dispatch_window_s = p.window_s;
+    const ReplayDriver driver(w.network, rc);
+    RecordingSelector recorder;
+    (void)driver.run_sequential(w.workload, recorder);
+    core::RandomSelector random(99);
+    core::OnlineS3Selector online(&w.network, &model);
+    EXPECT_EQ(recorder.calls(), p.calls) << "window " << p.window_s;
+    EXPECT_EQ(fold_assignments(driver.run_sequential(w.workload, random)),
+              p.random)
+        << "window " << p.window_s;
+    EXPECT_EQ(fold_assignments(driver.run_sequential(w.workload, online)),
+              p.online)
+        << "window " << p.window_s;
+  }
+}
+
+// The generated campus has few cross-domain ties, so this trace makes
+// them: three buildings run the same schedule, a session leaves when a
+// later one arrives, and at window 120 a batch comes due at that
+// instant too. User ids rank the buildings 1, 2, 0 within each
+// instant, so session order differs from controller order. The call
+// log pins how sequential mode orders equal times: by kind (departure,
+// arrival, flush), then session, then controller.
+TEST(ReplayDriver, SequentialOrderIsPinnedAtTies) {
+  const auto net = mini_network(4, 3);
+  std::vector<SessionSpec> specs;
+  for (BuildingId b = 0; b < 3; ++b) {
+    for (std::int64_t k = 0; k < 6; ++k) {
+      specs.push_back({.user = static_cast<UserId>(3 * k + (b + 2) % 3),
+                       .connect_s = 60 * k,
+                       .disconnect_s = 60 * k + 240,
+                       .demand_mbps = 1.0 + static_cast<double>(k),
+                       .building = b});
+    }
+  }
+  const trace::Trace workload = make_trace(18, specs);
+  const std::pair<std::int64_t, std::uint64_t> pinned[] = {
+      {0, 0x639ba5acfeadcb79ULL},
+      {120, 0xa5612416405c9bcdULL},
+  };
+  for (const auto& [window_s, calls] : pinned) {
+    ReplayDriverConfig rc;
+    rc.replay.dispatch_window_s = window_s;
+    RecordingSelector recorder;
+    (void)ReplayDriver(net, rc).run_sequential(workload, recorder);
+    EXPECT_EQ(recorder.calls(), calls) << "window " << window_s;
+  }
 }
 
 TEST(ReplayDriver, CompatShimIsTheSequentialDriver) {
