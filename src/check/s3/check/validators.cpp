@@ -242,14 +242,6 @@ CheckReport validate_social_graph(const social::WeightedGraph& graph,
   return report;
 }
 
-social::WeightedGraph build_social_graph(const social::ThetaProvider& theta,
-                                         double theta_threshold) {
-  // Delegates to the social layer's builder: batched theta_row rows,
-  // plus the recorded-pairs pruning when the provider is an indexed
-  // SocialIndexModel whose type prior cannot reach the threshold.
-  return social::build_theta_graph(theta, theta_threshold);
-}
-
 CheckReport validate_clique_cover(
     const social::WeightedGraph& graph,
     std::span<const std::vector<std::size_t>> cover,
@@ -388,103 +380,12 @@ CheckReport validate_model_freshness(const social::SocialIndexModel& model,
   return report;
 }
 
-namespace {
-
-std::string window_str(util::SimTime b, util::SimTime e) {
-  return "[" + std::to_string(b.seconds()) + ", " +
-         std::to_string(e.seconds()) + ")";
-}
-
-/// Flags empty/inverted windows and, per entity, every window that
-/// starts before the latest end of that entity's earlier non-empty
-/// windows (sorted by (id, begin, end)).
-template <typename Outage, typename IdOf>
-void check_outage_windows(CheckReport& report, std::string_view what,
-                          std::vector<Outage> outages, IdOf id_of) {
-  std::sort(outages.begin(), outages.end());
-  const Outage* latest = nullptr;  ///< this id's window reaching furthest
-  for (const Outage& o : outages) {
-    if (latest != nullptr && id_of(*latest) != id_of(o)) latest = nullptr;
-    if (o.begin >= o.end) {
-      report.add(kFaultPlan,
-                 std::string(what) + " " + std::to_string(id_of(o)) +
-                     ": empty outage window " + window_str(o.begin, o.end));
-      continue;
-    }
-    if (latest != nullptr && latest->end > o.begin) {
-      report.add(kFaultPlan,
-                 std::string(what) + " " + std::to_string(id_of(o)) +
-                     ": outage windows overlap: " +
-                     window_str(latest->begin, latest->end) + " and " +
-                     window_str(o.begin, o.end));
-    }
-    if (latest == nullptr || o.end > latest->end) latest = &o;
-  }
-}
-
-}  // namespace
-
 CheckReport validate_fault_plan(const fault::FaultPlan& plan,
                                 const wlan::Network* net,
                                 const FaultPlanCheckOptions& options) {
   CheckReport report(options.max_issues);
-  check_outage_windows(report, "ap", plan.ap_outages,
-                       [](const fault::ApOutage& o) { return o.ap; });
-  check_outage_windows(
-      report, "controller", plan.controller_outages,
-      [](const fault::ControllerOutage& o) { return o.controller; });
-  check_outage_windows(
-      report, "controller-loss", plan.controller_losses,
-      [](const fault::ControllerLoss& o) { return o.controller; });
-  if (net != nullptr) {
-    for (const fault::ApOutage& o : plan.ap_outages) {
-      if (o.ap >= net->num_aps()) {
-        report.add(kFaultPlan, "ap-outage references unknown AP " +
-                                   std::to_string(o.ap) + " (network has " +
-                                   std::to_string(net->num_aps()) + ")");
-      }
-    }
-    for (const fault::ControllerOutage& o : plan.controller_outages) {
-      if (o.controller >= net->num_controllers()) {
-        report.add(kFaultPlan,
-                   "controller-outage references unknown controller " +
-                       std::to_string(o.controller) + " (network has " +
-                       std::to_string(net->num_controllers()) + ")");
-      }
-    }
-    for (const fault::ControllerLoss& o : plan.controller_losses) {
-      if (o.controller >= net->num_controllers()) {
-        report.add(kFaultPlan,
-                   "controller-loss references unknown controller " +
-                       std::to_string(o.controller) + " (network has " +
-                       std::to_string(net->num_controllers()) + ")");
-      }
-    }
-  }
-  for (const fault::ModelOutage& o : plan.model_outages) {
-    if (o.begin >= o.end) {
-      report.add(kFaultPlan,
-                 "model-outage: empty window " + window_str(o.begin, o.end));
-    }
-  }
-  for (const fault::CliqueSqueeze& s : plan.clique_squeezes) {
-    if (s.begin >= s.end) {
-      report.add(kFaultPlan,
-                 "clique-budget: empty window " + window_str(s.begin, s.end));
-    }
-    if (s.node_budget == 0) {
-      report.add(kFaultPlan, "clique-budget: budget must be positive");
-    }
-  }
-  const fault::AdmissionFaults& adm = plan.admission;
-  if (adm.failure_probability < 0.0 || adm.failure_probability > 1.0 ||
-      !std::isfinite(adm.failure_probability)) {
-    report.add(kFaultPlan, "admission-failure: probability " +
-                               fmt_double(adm.failure_probability) +
-                               " outside [0, 1]");
-  } else if (adm.failure_probability > 0.0 && adm.begin >= adm.end) {
-    report.add(kFaultPlan, "admission-failure: empty window " +
-                               window_str(adm.begin, adm.end));
+  for (std::string& problem : fault::plan_problems(plan, net)) {
+    report.add(kFaultPlan, std::move(problem));
   }
   return report;
 }

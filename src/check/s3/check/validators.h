@@ -7,7 +7,7 @@
 //                           domain;
 //   validate_social_graph — the social relation index and its graph:
 //                           θ(u,v) finite, non-negative, symmetric,
-//                           θ(u,u) = 0; graph edges at/above the θ
+//                           θ(u,u) = 0; graph edges above the θ
 //                           threshold, no self-edges, weights matching
 //                           the provider;
 //   validate_clique_cover — a clique cover must partition the vertex
@@ -110,18 +110,14 @@ CheckReport validate_social_graph(const social::ThetaProvider& theta,
                                   const SocialGraphCheckOptions& options = {});
 
 /// Validates a social graph, optionally against the θ provider it was
-/// built from: no self-edges, symmetric adjacency and weights, every
-/// edge at/above the threshold, edge weights equal to θ, and no
-/// missing edge whose θ clears the threshold.
+/// built from: no self-edges, symmetric adjacency and weights, no edge
+/// weight below the threshold, edge weights equal to θ, and no missing
+/// edge whose θ clears the threshold. Both threshold tests allow
+/// `epsilon`, so a pair at the threshold passes as edge or as non-edge
+/// (social::build_theta_graph draws edges at θ > threshold).
 CheckReport validate_social_graph(const social::WeightedGraph& graph,
                                   const social::ThetaProvider* theta,
                                   const SocialGraphCheckOptions& options = {});
-
-/// Builds the all-users social graph of a θ provider (edges where
-/// θ ≥ threshold) — the model-level analogue of the per-batch graph
-/// S3Selector builds, shared by `s3lb check model` and tests.
-social::WeightedGraph build_social_graph(const social::ThetaProvider& theta,
-                                         double theta_threshold);
 
 struct CliqueCoverCheckOptions {
   std::size_t max_issues = 64;
@@ -180,11 +176,11 @@ struct FaultPlanCheckOptions {
   std::size_t max_issues = 64;
 };
 
-/// Lints a parsed fault plan: empty/inverted windows, probabilities
-/// outside [0, 1], overlapping outage windows of the same AP or
-/// controller, and — when `net` is given — AP/controller ids outside
-/// the topology. Stricter than fault::validate_plan (which tolerates
-/// overlapping AP windows); backs `s3lb check fault-plan`.
+/// Reports every finding of fault::plan_problems, the rules
+/// fault::validate_plan enforces by throwing the first: empty or
+/// inverted windows, probabilities outside [0, 1], overlapping windows
+/// of one AP or controller, and — when `net` is given — AP/controller
+/// ids outside the topology. Backs `s3lb check fault-plan`.
 CheckReport validate_fault_plan(const fault::FaultPlan& plan,
                                 const wlan::Network* net = nullptr,
                                 const FaultPlanCheckOptions& options = {});

@@ -87,36 +87,12 @@ RebalanceResult simulate_with_migration(const wlan::Network& net,
     last_t = now;
   };
 
-  const fault::FaultInjector* injector = config.injector;
-  auto ap_down = [&](ApId ap, util::SimTime now) {
-    return injector != nullptr && injector->ap_down(ap, now);
-  };
-
-  // Bandwidth-aware placement over surviving candidates: least loaded
-  // among the APs with headroom, least loaded overall when every
-  // surviving AP is full (the association cannot be refused), kInvalidAp
-  // when the outage blacked out the whole candidate set.
-  auto place_on_surviving = [&](const sim::Arrival& a, util::SimTime now) {
-    std::vector<ApId> up;
-    for (const ApId ap : a.candidates) {
-      if (!ap_down(ap, now)) up.push_back(ap);
-    }
-    if (up.empty()) return kInvalidAp;
-    std::vector<ApId> fits;
-    for (const ApId ap : up) {
-      if (tracker.headroom_mbps(ap) >= a.demand_mbps) fits.push_back(ap);
-    }
-    return least_loaded_of(fits.empty() ? up : fits, tracker,
-                           config.arrival_metric);
-  };
-
   // ---- Migration sweep -------------------------------------------------
-  auto sweep_controller = [&](ControllerId c, util::SimTime now) {
+  auto sweep_controller = [&](ControllerId c) {
     const auto domain = net.aps_of_controller(c);
     for (std::size_t m = 0; m < config.max_migrations_per_sweep; ++m) {
       ApId donor = kInvalidAp, receiver = kInvalidAp;
       for (ApId ap : domain) {
-        if (ap_down(ap, now)) continue;
         if (donor == kInvalidAp ||
             tracker.demand_mbps(ap) > tracker.demand_mbps(donor)) {
           donor = ap;
@@ -168,61 +144,6 @@ RebalanceResult simulate_with_migration(const wlan::Network& net,
     }
   };
 
-  // ---- AP outage eviction ----------------------------------------------
-  // Stations on a failing AP are re-placed immediately on the least
-  // loaded surviving audible AP with headroom; a station whose whole
-  // candidate set is down is dropped (its departure entry is skipped).
-  auto evict_ap = [&](ApId down_ap, util::SimTime now) {
-    std::vector<std::size_t> victims;
-    // s3lint: allow(det-unordered-iter): keys are collected then sorted.
-    for (const auto& [sid, s] : active) {
-      if (s.ap == down_ap) victims.push_back(sid);
-    }
-    std::sort(victims.begin(), victims.end());
-    for (const std::size_t sid : victims) {
-      ActiveSession& s = active.at(sid);
-      tracker.disconnect(sid, s.ap);
-      ++result.fault_evictions;
-      ++result.disruptions_per_user[s.user];
-      s.migrated = true;
-      sim::Arrival a;
-      a.session_index = sid;
-      a.user = s.user;
-      a.demand_mbps = s.demand_mbps;
-      a.candidates = s.candidates;
-      const ApId target = place_on_surviving(a, now);
-      if (target == kInvalidAp) {
-        ++result.dropped_sessions;
-        active.erase(sid);
-        continue;
-      }
-      tracker.associate(sid, target, s.user, s.demand_mbps);
-      s.ap = target;
-    }
-  };
-
-  // Flattened fault schedule across every domain, sorted (when, up
-  // before down, ap) — same convention as the runtime engines.
-  std::vector<fault::ApFaultEvent> fault_events;
-  if (injector != nullptr) {
-    for (ControllerId c = 0; c < net.num_controllers(); ++c) {
-      const auto domain_events = injector->events_for_domain(net, c);
-      fault_events.insert(fault_events.end(), domain_events.begin(),
-                          domain_events.end());
-    }
-    // s3lint: allow(det-sort-ties): total order: (when, kind, ap); equal keys
-    // are identical events
-    std::sort(fault_events.begin(), fault_events.end(),
-              [](const fault::ApFaultEvent& a, const fault::ApFaultEvent& b) {
-                if (a.when != b.when) return a.when < b.when;
-                if (a.kind != b.kind) {
-                  return a.kind == fault::ApFaultEvent::Kind::kUp;
-                }
-                return a.ap < b.ap;
-              });
-  }
-  std::size_t next_fault = 0;
-
   // ---- Event loop -------------------------------------------------------
   const auto sessions = workload.sessions();
   std::size_t next_arrival = 0;
@@ -235,28 +156,13 @@ RebalanceResult simulate_with_migration(const wlan::Network& net,
         next_arrival < sessions.size() ? sessions[next_arrival].connect : inf;
     const util::SimTime td = departures.empty() ? inf : departures.top().when;
     const util::SimTime ts = next_sweep < end ? next_sweep : inf;
-    const util::SimTime tfault =
-        next_fault < fault_events.size() ? fault_events[next_fault].when : inf;
     if (ta == inf && td == inf) break;
 
-    if (tfault <= td && tfault <= ta && tfault <= ts) {
-      advance(tfault);
-      const fault::ApFaultEvent& ev = fault_events[next_fault++];
-      if (ev.kind == fault::ApFaultEvent::Kind::kDown) {
-        evict_ap(ev.ap, ev.when);
-      } else {
-        // Recovery: rebalance the domain onto the restored AP at once
-        // rather than waiting for the next periodic sweep.
-        sweep_controller(net.controller_of_ap(ev.ap), ev.when);
-      }
-      continue;
-    }
     if (td <= ta && td <= ts) {
       advance(td);
       const Departure d = departures.top();
       departures.pop();
       const auto it = active.find(d.session_index);
-      if (it == active.end()) continue;  // dropped by an outage
       tracker.disconnect(d.session_index, it->second.ap);
       if (it->second.migrated) ++disrupted_sessions;
       active.erase(it);
@@ -275,15 +181,7 @@ RebalanceResult simulate_with_migration(const wlan::Network& net,
       a.user = rec.user;
       a.demand_mbps = rec.demand_mbps;
       a.candidates = s.candidates;
-      const ApId chosen = injector != nullptr
-                              ? place_on_surviving(a, ta)
-                              : least_loaded(a, tracker, config.arrival_metric);
-      if (chosen == kInvalidAp) {
-        ++result.dropped_sessions;
-        ++next_arrival;
-        continue;
-      }
-      s.ap = chosen;
+      s.ap = least_loaded(a, tracker, config.arrival_metric);
       tracker.associate(next_arrival, s.ap, s.user, s.demand_mbps);
       active.emplace(next_arrival, std::move(s));
       departures.push(Departure{rec.disconnect, next_arrival});
@@ -292,7 +190,7 @@ RebalanceResult simulate_with_migration(const wlan::Network& net,
     }
     advance(ts);
     for (ControllerId c = 0; c < net.num_controllers(); ++c) {
-      sweep_controller(c, ts);
+      sweep_controller(c);
     }
     next_sweep += util::SimTime(config.sweep_period_s);
   }

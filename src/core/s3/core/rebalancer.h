@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "s3/core/baselines.h"
-#include "s3/fault/fault_injector.h"
 #include "s3/sim/replay.h"
 #include "s3/trace/trace.h"
 #include "s3/util/sim_time.h"
@@ -36,10 +35,6 @@ struct RebalancerConfig {
   wlan::RadioModel radio{};
   /// Load-averaging slot for the reported series.
   std::int64_t slot_s = 600;
-  /// Optional fault schedule: AP outages evict stations mid-domain onto
-  /// surviving APs (bandwidth-aware, least-loaded), arrivals never land
-  /// on a down AP, and sweeps ignore down APs. Must outlive the call.
-  const fault::FaultInjector* injector = nullptr;
 };
 
 struct RebalanceResult {
@@ -56,10 +51,6 @@ struct RebalanceResult {
   std::vector<std::uint32_t> disruptions_per_user;
   /// Fraction of sessions disrupted at least once.
   double disrupted_session_fraction = 0.0;
-
-  // Fault accounting (zero without an injector).
-  std::size_t fault_evictions = 0;   ///< stations kicked by an AP outage
-  std::size_t dropped_sessions = 0;  ///< no surviving AP was audible
 
   std::span<const double> loads(ControllerId c, std::size_t slot,
                                 std::size_t domain_size) const {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "s3/util/error.h"
@@ -212,78 +214,138 @@ void write_fault_plan_file(const FaultPlan& plan, const std::string& path) {
 
 namespace {
 
-/// Requires each id's windows to be pairwise disjoint; they are
-/// half-open, so touching ones are fine. The windows compare by (id,
-/// begin, end) and are non-empty (checked first), so once sorted, any
-/// overlap shows between neighbours.
-template <typename Window, typename IdOf>
-void require_disjoint(std::vector<Window> windows, IdOf id_of,
-                      const char* message) {
-  std::sort(windows.begin(), windows.end());
-  for (std::size_t i = 1; i < windows.size(); ++i) {
-    if (id_of(windows[i - 1]) != id_of(windows[i])) continue;
-    S3_REQUIRE(windows[i - 1].end <= windows[i].begin, message);
+std::string window_str(util::SimTime begin, util::SimTime end) {
+  std::ostringstream out;
+  out << '[' << begin.seconds() << ", " << end.seconds() << ')';
+  return out.str();
+}
+
+/// One window in an overlap sweep. `outage` marks a controller outage
+/// swept with the losses: it is compared only with earlier losses, as
+/// the outage sweep already compared the outages with each other.
+struct Span {
+  std::uint32_t id = 0;
+  util::SimTime begin;
+  util::SimTime end;
+  bool outage = false;
+
+  constexpr auto operator<=>(const Span&) const noexcept = default;
+};
+
+/// Appends the empty-window and unknown-id findings of `windows` in
+/// plan order (ids at or past `known` are unknown) and returns the
+/// windows as spans.
+template <typename Window>
+std::vector<Span> check_windows(const std::vector<Window>& windows,
+                                std::uint32_t Window::*id,
+                                const std::string& what,
+                                const std::string& unknown, std::size_t known,
+                                std::vector<std::string>& out) {
+  std::vector<Span> spans;
+  spans.reserve(windows.size());
+  for (const Window& w : windows) {
+    const std::uint32_t i = w.*id;
+    if (w.begin >= w.end) {
+      out.push_back(what + " " + std::to_string(i) + ": empty outage window " +
+                    window_str(w.begin, w.end));
+    }
+    if (i >= known) {
+      out.push_back(unknown + std::to_string(i) + " (network has " +
+                    std::to_string(known) + ")");
+    }
+    spans.push_back({i, w.begin, w.end});
+  }
+  return spans;
+}
+
+/// Appends, per id, each non-empty span that begins before an earlier
+/// span ends, paired with the earlier span reaching furthest (an
+/// `outage` span only with earlier losses): one finding per span at
+/// most, so no pair is reported twice. Windows are half-open, so
+/// touching ones do not overlap; empty ones were reported already.
+void check_overlaps(std::vector<Span> spans, const std::string& what,
+                    std::vector<std::string>& out) {
+  std::sort(spans.begin(), spans.end());
+  const auto label = [](const Span& s) {
+    return (s.outage ? "controller-outage " : "") + window_str(s.begin, s.end);
+  };
+  const Span* reach = nullptr;       // this id's, furthest-reaching
+  const Span* loss_reach = nullptr;  // the same over non-outage spans
+  for (const Span& s : spans) {
+    if (s.begin >= s.end) continue;
+    if (reach != nullptr && reach->id != s.id) reach = loss_reach = nullptr;
+    const Span* earlier = s.outage ? loss_reach : reach;
+    if (earlier != nullptr && earlier->end > s.begin) {
+      out.push_back(what + " " + std::to_string(s.id) +
+                    ": outage windows overlap: " + label(*earlier) + " and " +
+                    label(s));
+    }
+    if (reach == nullptr || s.end > reach->end) reach = &s;
+    if (!s.outage && (loss_reach == nullptr || s.end > loss_reach->end)) {
+      loss_reach = &s;
+    }
   }
 }
 
 }  // namespace
 
-void validate_plan(const FaultPlan& plan, const wlan::Network* net) {
-  for (const ApOutage& o : plan.ap_outages) {
-    S3_REQUIRE(o.begin < o.end, "ap outage window is empty");
-    if (net != nullptr) {
-      S3_REQUIRE(o.ap < net->num_aps(), "ap outage references unknown AP");
-    }
-  }
+std::vector<std::string> plan_problems(const FaultPlan& plan,
+                                       const wlan::Network* net) {
+  constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
+  const std::size_t aps = net != nullptr ? net->num_aps() : kUnbounded;
+  const std::size_t controllers =
+      net != nullptr ? net->num_controllers() : kUnbounded;
+  std::vector<std::string> out;
   // FaultInjector::ap_down answers from the last window that starts at
   // or before t, which covers t only if no earlier window of that AP
   // reaches past it.
-  require_disjoint(plan.ap_outages, [](const ApOutage& o) { return o.ap; },
-                   "ap outage windows overlap for one AP");
-  for (const ControllerOutage& o : plan.controller_outages) {
-    S3_REQUIRE(o.begin < o.end, "controller outage window is empty");
-    if (net != nullptr) {
-      S3_REQUIRE(o.controller < net->num_controllers(),
-                 "controller outage references unknown controller");
-    }
-  }
+  check_overlaps(check_windows(plan.ap_outages, &ApOutage::ap, "ap",
+                               "ap-outage references unknown AP ", aps, out),
+                 "ap", out);
   // A window's begin crashes a live replica and its end restarts that
   // same replica, so an overlap would leave crash/restart unpairable.
-  const auto controller_of = [](const ControllerOutage& o) {
-    return o.controller;
-  };
-  require_disjoint(plan.controller_outages, controller_of,
-                   "controller outage windows overlap for one controller");
-  // Losses follow the same pairing logic (begin kills, end revives), and
-  // additionally must not overlap the same controller's outage windows:
-  // a controller cannot crash one replica while its whole replica set is
-  // already gone. Check the union per controller.
-  std::vector<ControllerOutage> merged = plan.controller_outages;
-  for (const ControllerLoss& o : plan.controller_losses) {
-    S3_REQUIRE(o.begin < o.end, "controller loss window is empty");
-    if (net != nullptr) {
-      S3_REQUIRE(o.controller < net->num_controllers(),
-                 "controller loss references unknown controller");
-    }
-    merged.push_back({o.controller, o.begin, o.end});
-  }
-  require_disjoint(std::move(merged), controller_of,
-                   "controller loss window overlaps another loss or outage "
-                   "window of the same controller");
+  std::vector<Span> outages = check_windows(
+      plan.controller_outages, &ControllerOutage::controller, "controller",
+      "controller-outage references unknown controller ", controllers, out);
+  check_overlaps(outages, "controller", out);
+  // Losses pair the same way, and a controller cannot crash one replica
+  // while its whole replica set is already gone, so a loss must not
+  // overlap the same controller's losses or outages either.
+  std::vector<Span> losses = check_windows(
+      plan.controller_losses, &ControllerLoss::controller, "controller-loss",
+      "controller-loss references unknown controller ", controllers, out);
+  for (Span& o : outages) o.outage = true;
+  losses.insert(losses.end(), outages.begin(), outages.end());
+  check_overlaps(std::move(losses), "controller-loss", out);
   for (const ModelOutage& o : plan.model_outages) {
-    S3_REQUIRE(o.begin < o.end, "model outage window is empty");
+    if (o.begin >= o.end) {
+      out.push_back("model-outage: empty window " + window_str(o.begin, o.end));
+    }
   }
   for (const CliqueSqueeze& s : plan.clique_squeezes) {
-    S3_REQUIRE(s.begin < s.end, "clique squeeze window is empty");
-    S3_REQUIRE(s.node_budget > 0, "clique squeeze budget must be positive");
+    if (s.begin >= s.end) {
+      out.push_back("clique-budget: empty window " + window_str(s.begin, s.end));
+    }
+    if (s.node_budget == 0) {
+      out.push_back("clique-budget: budget must be positive");
+    }
   }
-  S3_REQUIRE(plan.admission.failure_probability >= 0.0 &&
-                 plan.admission.failure_probability <= 1.0,
-             "admission failure probability outside [0, 1]");
-  if (plan.admission.failure_probability > 0.0) {
-    S3_REQUIRE(plan.admission.begin < plan.admission.end,
-               "admission failure window is empty");
+  const AdmissionFaults& adm = plan.admission;
+  if (!(adm.failure_probability >= 0.0 && adm.failure_probability <= 1.0)) {
+    std::ostringstream p;
+    p << adm.failure_probability;
+    out.push_back("admission-failure: probability " + p.str() +
+                  " outside [0, 1]");
+  } else if (adm.failure_probability > 0.0 && adm.begin >= adm.end) {
+    out.push_back("admission-failure: empty window " +
+                  window_str(adm.begin, adm.end));
   }
+  return out;
+}
+
+void validate_plan(const FaultPlan& plan, const wlan::Network* net) {
+  const std::vector<std::string> problems = plan_problems(plan, net);
+  if (!problems.empty()) throw std::invalid_argument(problems.front());
 }
 
 FaultPlan canned_ap_churn_plan(const wlan::Network& net, util::SimTime begin,

@@ -135,10 +135,23 @@ FaultPlanParseResult read_fault_plan_file(const std::string& path);
 std::string write_fault_plan(const FaultPlan& plan);
 void write_fault_plan_file(const FaultPlan& plan, const std::string& path);
 
-/// Throws util::S3Error (via S3_REQUIRE) on malformed windows
-/// (begin >= end), probabilities outside [0, 1], overlapping outage
-/// windows of the same controller, or — when `net` is given — AP or
-/// controller ids outside the topology.
+/// Every problem of `plan`, one message each, empty for a valid plan.
+/// The rules, in the order they report: for AP outages, controller
+/// outages and controller losses in turn, each empty window and —
+/// when `net` is given — each id outside the topology, in plan order,
+/// then each window overlapping an earlier one of its id (windows are
+/// half-open, so touching ones are fine; a loss is checked against the
+/// same controller's losses and outages); then empty model-outage and
+/// clique-budget windows, clique budgets of 0, and an admission
+/// probability outside [0, 1] or, when positive, an empty admission
+/// window. An overlapping window is paired with the earlier window
+/// reaching furthest, so each finding names one pair and no pair is
+/// reported twice.
+std::vector<std::string> plan_problems(const FaultPlan& plan,
+                                       const wlan::Network* net = nullptr);
+
+/// Throws std::invalid_argument carrying plan_problems' first finding
+/// when there is one.
 void validate_plan(const FaultPlan& plan, const wlan::Network* net = nullptr);
 
 // Canned plans used by bench_resilience, CI, and EXPERIMENTS.md. All

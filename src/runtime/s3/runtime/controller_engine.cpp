@@ -158,16 +158,8 @@ util::SimTime ControllerEngine::next_arrival_time() const noexcept {
              : kNever;
 }
 
-std::size_t ControllerEngine::next_arrival_session() const noexcept {
-  return sessions_[next_arrival_];
-}
-
 util::SimTime ControllerEngine::next_departure_time() const noexcept {
   return departures_.empty() ? kNever : departures_.top().when;
-}
-
-std::size_t ControllerEngine::next_departure_session() const noexcept {
-  return departures_.top().session_index;
 }
 
 util::SimTime ControllerEngine::flush_deadline() const noexcept {
@@ -195,8 +187,6 @@ sim::Arrival ControllerEngine::make_arrival(std::size_t session_index,
   a.candidates = wlan::candidate_aps(*net_, config_.radio, s.building, s.pos);
   return a;
 }
-
-void ControllerEngine::process_arrival() { arrive(nullptr, false); }
 
 void ControllerEngine::arrive(const sim::BatchResult* recorded, bool keep) {
   const std::size_t index = sessions_[next_arrival_];
@@ -372,8 +362,6 @@ void ControllerEngine::process_retries() {
   }
 }
 
-void ControllerEngine::flush() { flush_batch(nullptr, false); }
-
 void ControllerEngine::flush_batch(const sim::BatchResult* recorded,
                                    bool keep) {
   if (batch_.empty()) return;
@@ -512,16 +500,6 @@ ControllerEngine::Step ControllerEngine::next_step() const noexcept {
   const util::SimTime ta = next_arrival_time();
   const util::SimTime td = next_departure_time();
   const util::SimTime tf = flush_deadline();
-  if (injector_ == nullptr) {
-    // Legacy tie order: departures free capacity first, then arrivals
-    // join their batch, then due batches flush.
-    if (td <= ta && td <= tf) return {StepKind::kDeparture, td};
-    if (ta <= tf) return {StepKind::kArrival, ta};
-    return {StepKind::kFlush, tf};
-  }
-  // Fault-aware order: fault flips first (an AP that dies at t must not
-  // accept the batch due at t), then the legacy order, then due retries
-  // merge into the batch, then flushes.
   const util::SimTime tfault = next_fault_time();
   const util::SimTime tr = next_retry_time();
   if (tfault != kNever && tfault <= td && tfault <= ta && tfault <= tr &&
@@ -529,9 +507,11 @@ ControllerEngine::Step ControllerEngine::next_step() const noexcept {
     return {StepKind::kFault, tfault};
   }
   if (td != kNever && td <= ta && td <= tr && td <= tf) {
-    return {StepKind::kDeparture, td};
+    return {StepKind::kDeparture, td, departures_.top().session_index};
   }
-  if (ta != kNever && ta <= tr && ta <= tf) return {StepKind::kArrival, ta};
+  if (ta != kNever && ta <= tr && ta <= tf) {
+    return {StepKind::kArrival, ta, sessions_[next_arrival_]};
+  }
   if (tr != kNever && tr <= tf) return {StepKind::kRetries, tr};
   return {StepKind::kFlush, tf};
 }
@@ -556,8 +536,8 @@ std::uint64_t ControllerEngine::step_digest() const noexcept {
   return h;
 }
 
-void ControllerEngine::step(StepKind kind, const sim::BatchResult* recorded,
-                            bool keep) {
+void ControllerEngine::apply(StepKind kind, const sim::BatchResult* recorded,
+                             bool keep) {
   switch (kind) {
     case StepKind::kFault:
       process_fault();
@@ -583,7 +563,7 @@ std::uint64_t ControllerEngine::apply_step(StepKind kind,
                                            const sim::BatchResult* recorded) {
   last_batch_.reset();
   last_batch_digest_ = 0;
-  step(kind, recorded, /*keep=*/true);
+  apply(kind, recorded, /*keep=*/true);
   return step_digest();
 }
 

@@ -10,13 +10,12 @@
 // threads without synchronization. Each engine writes its placements
 // into a disjoint set of slots of the shared assignment vector.
 //
-// The engine exposes two execution styles:
-//   * run() — walk the domain's whole event stream (sharded mode, one
-//     engine per thread-pool task);
-//   * peek/process stepping — the ReplayDriver's sequential mode
-//     interleaves engines on a global clock, reproducing the historic
-//     single-threaded sim::replay() bit-for-bit, shared policy
-//     instance and all.
+// The engine steps through one event order. next_step() names the
+// event it would process next and step() or apply_step() processes it;
+// run() walks the domain's whole stream that way (sharded mode, one
+// engine per pool task). The ReplayDriver's sequential mode merges
+// several engines on their next_step() values, and the replication
+// layer logs each step and replays it on backups through apply_step().
 #pragma once
 
 #include <limits>
@@ -81,31 +80,12 @@ class ControllerEngine {
   /// Processes every event of this domain, then finalizes stats.
   void run();
 
-  // --- Fine-grained stepping (sequential global-interleave mode) ----
-  // Tie order at equal timestamps matches the historic monolith:
-  // departures free capacity first, then arrivals join their batch,
-  // then due batches flush.
-
   bool done() const noexcept;
 
-  util::SimTime next_arrival_time() const noexcept;
-  /// Global session index of the next arrival (only valid when
-  /// next_arrival_time() != kNever).
-  std::size_t next_arrival_session() const noexcept;
+  // --- Stepping ------------------------------------------------------
 
-  util::SimTime next_departure_time() const noexcept;
-  std::size_t next_departure_session() const noexcept;
-
-  /// Deadline of the pending batch; kNever when nothing is pending.
-  util::SimTime flush_deadline() const noexcept;
-
-  void process_arrival();
-  void process_departure();
-  void flush();
-
-  // --- Uniform stepping (replication layer, s3::repl) ---------------
-
-  /// One event-loop step kind, in the engine's priority order.
+  /// One event-loop step kind, in the engine's priority order at equal
+  /// times.
   enum class StepKind : std::uint8_t {
     kNone = 0,  ///< done() — nothing left to process
     kFault,
@@ -117,13 +97,21 @@ class ControllerEngine {
   struct Step {
     StepKind kind = StepKind::kNone;
     util::SimTime when = kNever;
+    /// Global session index of the arrival or departure the step
+    /// names; 0 for the other kinds.
+    std::size_t session = 0;
   };
 
-  /// The next event this engine would process — exactly the branch
-  /// run() takes (fault flips, departures, arrivals, due retries,
-  /// flush; the legacy three-way order without an injector). kNone iff
-  /// done(). Pure; calling it repeatedly without applying is free.
+  /// The next event this engine would process, the earliest first and,
+  /// at equal times, in StepKind order: fault flips (an AP that dies at
+  /// t must not accept the batch due at t), departures (freeing
+  /// capacity), arrivals (joining their batch), due retries (merging
+  /// into it), then the batch's flush. kNone iff done(). Pure; calling
+  /// it repeatedly without applying is free.
   Step next_step() const noexcept;
+
+  /// Applies one step of the given kind, folding no digest.
+  void step(StepKind kind) { apply(kind, nullptr, false); }
 
   /// Applies one step of the given kind and returns a cheap fold of the
   /// post-step engine state: queue sizes, counters, and the batch the
@@ -198,6 +186,10 @@ class ControllerEngine {
     double demand_mbps = 0.0;
   };
 
+  util::SimTime next_arrival_time() const noexcept;
+  util::SimTime next_departure_time() const noexcept;
+  /// Deadline of the pending batch; kNever when nothing is pending.
+  util::SimTime flush_deadline() const noexcept;
   util::SimTime next_fault_time() const noexcept;
   util::SimTime next_retry_time() const noexcept;
   std::uint64_t step_digest() const noexcept;
@@ -206,9 +198,9 @@ class ControllerEngine {
   /// the step commits `recorded` as apply_step describes; with `keep`
   /// it leaves its batch in last_batch_ and its fold in
   /// last_batch_digest_, which only apply_step reads.
-  void step(StepKind kind, const sim::BatchResult* recorded = nullptr,
-            bool keep = false);
+  void apply(StepKind kind, const sim::BatchResult* recorded, bool keep);
   void arrive(const sim::BatchResult* recorded, bool keep);
+  void process_departure();
   void flush_batch(const sim::BatchResult* recorded, bool keep);
   void process_fault();
   void process_retries();

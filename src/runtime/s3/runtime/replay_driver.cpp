@@ -5,6 +5,7 @@
 #include <exception>
 #include <memory>
 #include <thread>
+#include <tuple>
 
 #include "s3/check/contract.h"
 #include "s3/check/validators.h"
@@ -170,61 +171,24 @@ sim::ReplayResult ReplayDriver::run_sequential(const trace::Trace& workload,
         assignment));
   }
 
-  constexpr util::SimTime kNever = ControllerEngine::kNever;
+  // Merge the engines on their own next steps: the earliest first; at
+  // equal times by step kind, then session, then controller order (the
+  // engines are in controller order and a tie keeps the first).
   while (true) {
-    // Global minima over the engines. Arrivals and departures order by
-    // (time, global session index) — exactly the single heap / single
-    // cursor of the historic monolith; flushes take the first engine
-    // (ascending controller id) at the minimum deadline.
-    ControllerEngine* arrival_engine = nullptr;
-    util::SimTime ta = kNever;
-    std::size_t arrival_session = 0;
-    ControllerEngine* departure_engine = nullptr;
-    util::SimTime td = kNever;
-    std::size_t departure_session = 0;
-    ControllerEngine* flush_engine = nullptr;
-    util::SimTime tf = kNever;
-
+    ControllerEngine* earliest = nullptr;
+    ControllerEngine::Step first;
     for (const auto& e : engines) {
-      const util::SimTime ea = e->next_arrival_time();
-      if (ea != kNever) {
-        const std::size_t s = e->next_arrival_session();
-        if (!arrival_engine || ea < ta || (ea == ta && s < arrival_session)) {
-          arrival_engine = e.get();
-          ta = ea;
-          arrival_session = s;
-        }
-      }
-      const util::SimTime ed = e->next_departure_time();
-      if (ed != kNever) {
-        const std::size_t s = e->next_departure_session();
-        if (!departure_engine || ed < td ||
-            (ed == td && s < departure_session)) {
-          departure_engine = e.get();
-          td = ed;
-          departure_session = s;
-        }
-      }
-      const util::SimTime ef = e->flush_deadline();
-      if (ef != kNever && ef < tf) {
-        flush_engine = e.get();
-        tf = ef;
+      const ControllerEngine::Step s = e->next_step();
+      if (s.kind == ControllerEngine::StepKind::kNone) continue;
+      if (earliest == nullptr ||
+          std::tie(s.when, s.kind, s.session) <
+              std::tie(first.when, first.kind, first.session)) {
+        earliest = e.get();
+        first = s;
       }
     }
-
-    if (!arrival_engine && !departure_engine && !flush_engine) break;
-
-    // Tie order at equal timestamps: departures free capacity first,
-    // then new arrivals join their batch, then due batches flush.
-    if (departure_engine && td <= ta && td <= tf) {
-      departure_engine->process_departure();
-      continue;
-    }
-    if (arrival_engine && ta <= tf) {
-      arrival_engine->process_arrival();
-      continue;
-    }
-    flush_engine->flush();
+    if (earliest == nullptr) break;
+    earliest->step(first.kind);
   }
 
   std::vector<sim::ReplayStats> shard_stats;

@@ -13,7 +13,8 @@
 //   * run(factory)        — sharded, one policy instance per domain,
 //                           threads from ReplayDriverConfig;
 //   * run_sequential(...) — one shared policy instance observing every
-//                           domain's events in global time order; this
+//                           domain's events in one global order, made
+//                           by merging the engines' next_step()s; this
 //                           is the historic sim::replay() behavior
 //                           bit-for-bit, kept for stateful policies
 //                           that learn across domains and as the
@@ -78,9 +79,10 @@ class ReplayDriver {
   sim::ReplayResult run(const trace::Trace& workload,
                         const sim::SelectorFactory& factory) const;
 
-  /// Sequential replay with one shared policy instance: engines are
-  /// interleaved on a global clock with the historic tie order
-  /// (departures, then arrivals, then due batch flushes).
+  /// Sequential replay with one shared policy instance: each round
+  /// steps the engine whose next_step() is least by (time, kind,
+  /// session, controller order), so at equal times departures go
+  /// first, then arrivals, then due batch flushes.
   sim::ReplayResult run_sequential(const trace::Trace& workload,
                                    sim::ApSelector& policy) const;
 

@@ -19,7 +19,7 @@ void CliqueMaintainer::reset_from(const ThetaProvider& model) {
   adj_.assign(model.num_users(), {});
   num_edges_ = 0;
   cover_valid_ = false;
-  for_each_theta_edge(model, config_.theta_threshold, /*strict=*/true,
+  for_each_theta_edge(model, config_.theta_threshold,
                       [this](UserId u, UserId v, double th) {
                         insert_edge(u, v, th);
                       });

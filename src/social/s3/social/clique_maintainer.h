@@ -37,9 +37,8 @@
 namespace s3::social {
 
 struct CliqueMaintainerConfig {
-  /// Strict edge rule: (u, v) is an edge iff θ(u,v) > theta_threshold
-  /// — the batch-graph rule of core::S3Selector, not build_theta_graph's
-  /// inclusive one.
+  /// Edge rule: (u, v) is an edge iff θ(u,v) > theta_threshold, as in
+  /// core::S3Selector's batch graph and build_theta_graph.
   double theta_threshold = 0.3;
   CliqueConfig clique{};
 };

@@ -80,12 +80,12 @@ bool WeightedGraph::is_clique(const std::vector<std::size_t>& vertices) const {
 }
 
 void for_each_theta_edge(
-    const ThetaProvider& model, double threshold, bool strict,
+    const ThetaProvider& model, double threshold,
     const std::function<void(UserId, UserId, double)>& fn) {
   const std::size_t n = model.num_users();
   if (n < 2) return;
   const auto clears = [&](double th) {
-    return std::isfinite(th) && (strict ? th > threshold : th >= threshold);
+    return std::isfinite(th) && th > threshold;
   };
 
   // Pruned path: when the type prior alone cannot clear the threshold,
@@ -121,10 +121,9 @@ void for_each_theta_edge(
 
 WeightedGraph build_theta_graph(const ThetaProvider& model, double threshold) {
   WeightedGraph graph(model.num_users());
-  for_each_theta_edge(model, threshold, /*strict=*/false,
-                      [&](UserId u, UserId v, double th) {
-                        graph.add_edge(u, v, th);
-                      });
+  for_each_theta_edge(model, threshold, [&](UserId u, UserId v, double th) {
+    graph.add_edge(u, v, th);
+  });
   return graph;
 }
 

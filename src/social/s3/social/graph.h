@@ -121,23 +121,21 @@ class WeightedGraph {
 };
 
 /// The full social graph of a model: vertices are all user ids, with an
-/// edge (u, v, θ(u,v)) wherever θ(u,v) >= threshold (the validators'
-/// edge rule). When the provider is a SocialIndexModel whose pair store
+/// edge (u, v, θ(u,v)) wherever θ(u,v) > threshold — the edge rule of
+/// S3's batch graph and CliqueMaintainer. When the provider is a
+/// SocialIndexModel whose pair store
 /// has a neighbor index and whose type prior alone cannot reach the
 /// threshold (max_type_term() < threshold), only pairs with recorded
 /// history are enumerated — O(recorded pairs) instead of O(users²).
 /// Otherwise every pair is scored through the batched theta_row kernel.
 WeightedGraph build_theta_graph(const ThetaProvider& model, double threshold);
 
-/// Enumerates every pair (u, v), u < v, whose θ clears `threshold` —
-/// strictly (`strict`, the batch-graph/CliqueMaintainer edge rule) or
-/// inclusively (build_theta_graph's rule) — calling
-/// fn(u, v, θ(u, v)) once per qualifying pair in ascending (u, v)
-/// order. Uses the same recorded-pairs CSR pruning as
-/// build_theta_graph when the provider allows it, otherwise batched
-/// theta_row sweeps.
+/// Enumerates every pair (u, v), u < v, whose finite θ exceeds
+/// `threshold`, calling fn(u, v, θ(u, v)) once per pair in ascending
+/// (u, v) order. Walks only recorded pairs when the provider allows it
+/// (see build_theta_graph), otherwise batched theta_row sweeps.
 void for_each_theta_edge(
-    const ThetaProvider& model, double threshold, bool strict,
+    const ThetaProvider& model, double threshold,
     const std::function<void(UserId, UserId, double)>& fn);
 
 }  // namespace s3::social

@@ -112,9 +112,24 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
 }
 
 void MetricsRegistry::dump(std::ostream& out) const {
-  StreamSink sink(out);
-  const std::vector<MetricSample> samples = snapshot();
-  sink.write(samples);
+  for (const MetricSample& s : snapshot()) {
+    out << s.name;
+    switch (s.kind) {
+      case MetricKind::kCounter:
+        out << " counter " << s.count;
+        break;
+      case MetricKind::kTimer:
+        out << " timer count=" << s.count << " total_ns=" << s.total
+            << " mean_ns=" << s.mean;
+        break;
+      case MetricKind::kHistogram:
+        out << " histogram count=" << s.count << " sum=" << s.total
+            << " mean=" << s.mean << " max=" << s.max << " p50=" << s.p50
+            << " p95=" << s.p95 << " p99=" << s.p99;
+        break;
+    }
+    out << "\n";
+  }
 }
 
 void MetricsRegistry::reset() {
@@ -131,43 +146,6 @@ void MetricsRegistry::reset() {
         e.histogram->reset();
         break;
     }
-  }
-}
-
-void MetricsRegistry::set_sink(std::shared_ptr<MetricsSink> sink) {
-  MutexLock lock(mu_);
-  sink_ = std::move(sink);
-}
-
-void MetricsRegistry::flush() const {
-  std::shared_ptr<MetricsSink> sink;
-  {
-    MutexLock lock(mu_);
-    sink = sink_;
-  }
-  if (!sink) return;
-  const std::vector<MetricSample> samples = snapshot();
-  sink->write(samples);
-}
-
-void StreamSink::write(std::span<const MetricSample> samples) {
-  for (const MetricSample& s : samples) {
-    *out_ << s.name;
-    switch (s.kind) {
-      case MetricKind::kCounter:
-        *out_ << " counter " << s.count;
-        break;
-      case MetricKind::kTimer:
-        *out_ << " timer count=" << s.count << " total_ns=" << s.total
-              << " mean_ns=" << s.mean;
-        break;
-      case MetricKind::kHistogram:
-        *out_ << " histogram count=" << s.count << " sum=" << s.total
-              << " mean=" << s.mean << " max=" << s.max << " p50=" << s.p50
-              << " p95=" << s.p95 << " p99=" << s.p99;
-        break;
-    }
-    *out_ << "\n";
   }
 }
 

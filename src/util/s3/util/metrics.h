@@ -14,8 +14,8 @@
 // Counter values and histogram shapes are deterministic for a seeded
 // run regardless of thread count (shards only ever *add*); timer
 // durations are wall-clock and therefore not, but their call counts
-// are. A pluggable MetricsSink receives snapshots on flush(); the
-// default is none (metrics are pull-only via snapshot()/dump()).
+// are. Metrics are pull-only: snapshot() returns them, dump() prints
+// that snapshot as text.
 #pragma once
 
 #include <atomic>
@@ -24,7 +24,6 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -202,24 +201,6 @@ struct MetricSample {
   double p99 = 0.0;
 };
 
-/// Receives registry snapshots on MetricsRegistry::flush().
-class MetricsSink {
- public:
-  virtual ~MetricsSink() = default;
-  virtual void write(std::span<const MetricSample> samples) = 0;
-};
-
-/// Sink that renders "name kind count total mean max" lines to a
-/// stream (the format dump() uses).
-class StreamSink final : public MetricsSink {
- public:
-  explicit StreamSink(std::ostream& out) : out_(&out) {}
-  void write(std::span<const MetricSample> samples) override;
-
- private:
-  std::ostream* out_;
-};
-
 class MetricsRegistry {
  public:
   /// Returns the instrument registered under `name`, creating it on
@@ -232,16 +213,13 @@ class MetricsRegistry {
   /// All instruments, sorted by name (deterministic output order).
   std::vector<MetricSample> snapshot() const S3_EXCLUDES(mu_);
 
-  /// Writes the snapshot as text lines, one metric per line.
+  /// Writes the snapshot as text lines, one metric per line: its name,
+  /// kind and the fields that kind uses.
   void dump(std::ostream& out) const S3_EXCLUDES(mu_);
 
   /// Zeroes every instrument (pointers stay valid). Tests use this to
   /// isolate per-run counter assertions.
   void reset() S3_EXCLUDES(mu_);
-
-  void set_sink(std::shared_ptr<MetricsSink> sink) S3_EXCLUDES(mu_);
-  /// Pushes a snapshot to the sink, if any.
-  void flush() const S3_EXCLUDES(mu_);
 
  private:
   struct Entry {
@@ -255,7 +233,6 @@ class MetricsRegistry {
 
   mutable Mutex mu_;
   std::map<std::string, Entry, std::less<>> entries_ S3_GUARDED_BY(mu_);
-  std::shared_ptr<MetricsSink> sink_ S3_GUARDED_BY(mu_);
 };
 
 /// The process-global instrumentation bus.

@@ -4,10 +4,14 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "s3/fault/fault_plan.h"
 #include "s3/fault/replica_snapshot.h"
+#include "s3/social/graph.h"
 #include "s3/util/metrics.h"
 #include "testing/mini.h"
 
@@ -141,7 +145,7 @@ TEST_F(ValidatorsTest, SocialGraphAcceptsAConsistentProviderAndGraph) {
     return (u + v == 1) ? 0.9 : 0.1;  // only the (0,1) tie is social
   });
   EXPECT_TRUE(validate_social_graph(theta).ok());
-  const social::WeightedGraph g = build_social_graph(theta, 0.3);
+  const social::WeightedGraph g = social::build_theta_graph(theta, 0.3);
   EXPECT_EQ(g.num_edges(), 1u);
   EXPECT_TRUE(g.adjacent(0, 1));
   EXPECT_TRUE(validate_social_graph(g, &theta).ok());
@@ -425,6 +429,147 @@ TEST_F(ValidatorsTest, FaultPlanFlagsUnknownIdsOnlyWithATopology) {
   const CheckReport report = validate_fault_plan(plan, &net);
   EXPECT_TRUE(mentions(report, "unknown AP 99"));
   EXPECT_TRUE(mentions(report, "unknown controller 7"));
+}
+
+// fault::validate_plan and validate_fault_plan apply one rule list:
+// the first throws the first finding the second reports. Checked over
+// every plan the fault-plan and validator tests build, plus a loss
+// over an outage of the same controller.
+TEST_F(ValidatorsTest, FaultPlanReportAgreesWithValidatePlan) {
+  using util::SimTime;
+  const ScopedContractMode scoped(ContractMode::kCount);
+  const wlan::Network one = testing::mini_network(4);
+  const wlan::Network two = testing::mini_network(4, 2);
+  const wlan::Network three = testing::mini_network(4, 3);
+  const wlan::Network four = testing::mini_network(4, 4);
+  std::vector<std::pair<fault::FaultPlan, const wlan::Network*>> cases;
+  const auto add = [&](const fault::FaultPlan& plan,
+                       const wlan::Network* net = nullptr) {
+    cases.emplace_back(plan, net);
+  };
+  const auto parsed = [](const std::string& text) {
+    const fault::FaultPlanParseResult r = fault::parse_fault_plan(text);
+    EXPECT_TRUE(r.ok()) << r.error;
+    return r.plan;
+  };
+
+  // tests/fault/fault_plan_test.cpp
+  add(parsed("s3fault v1\nap-outage 3 100 200\nap-outage 1 50 75\n"
+             "model-outage 10 20\nclique-budget 5 15 64\n"
+             "admission-failure 0.25 100 400\n"));
+  add(parsed("s3fault v1\nmodel-stale 0 10\n"));
+  add(parsed("s3fault v1\ncontroller-outage 2 100 200\n"
+             "controller-outage 0 300 400\n"));
+  add(parsed("s3fault v1\ncontroller-loss 1 500 900\n"
+             "controller-outage 1 100 200\n"));
+  fault::FaultPlan plan;
+  add(plan);
+  plan.admission.failure_probability = 0.1;
+  add(plan);
+  plan = {};
+  plan.ap_outages = {{99, SimTime(0), SimTime(10)}};
+  add(plan);
+  add(plan, &one);
+  plan = {};
+  plan.controller_outages = {{0, SimTime(0), SimTime(100)},
+                             {0, SimTime(50), SimTime(150)}};
+  add(plan);
+  plan.controller_outages[1].controller = 1;
+  add(plan);
+  plan.controller_outages[1] = {0, SimTime(100), SimTime(150)};
+  add(plan);
+  plan = {};
+  plan.controller_outages = {{7, SimTime(0), SimTime(10)}};
+  add(plan);
+  add(plan, &two);
+  plan = {};
+  plan.controller_losses = {{0, SimTime(0), SimTime(100)},
+                            {0, SimTime(50), SimTime(150)}};
+  add(plan);
+  plan.controller_losses.pop_back();
+  plan.controller_outages = {{0, SimTime(50), SimTime(150)}};
+  add(plan);
+  plan.controller_outages[0].controller = 1;
+  add(plan);
+  plan.controller_outages[0] = {0, SimTime(100), SimTime(150)};
+  add(plan);
+  plan.controller_losses[0].controller = 9;
+  add(plan, &two);
+  plan = {};
+  plan.controller_outages = {{0, SimTime(0), SimTime(10)},
+                             {0, SimTime(5), SimTime(8)},
+                             {0, SimTime(5), SimTime(5)}};
+  add(plan);
+  plan.controller_outages.pop_back();
+  add(plan);
+  add(fault::canned_ap_churn_plan(three, SimTime(1000),
+                                  SimTime(1000 + 24 * 3600)),
+      &three);
+  add(fault::canned_controller_churn_plan(four, SimTime(1000),
+                                          SimTime(1000 + 24 * 3600)),
+      &four);
+  add(fault::canned_controller_loss_plan(three, SimTime(0),
+                                         SimTime(24 * 3600)),
+      &three);
+  add(fault::canned_model_outage_plan(SimTime(0), SimTime(900)));
+  add(fault::canned_admission_storm_plan(SimTime(0), SimTime(1000)));
+
+  // The FaultPlan tests above.
+  plan = {};
+  plan.ap_outages = {{1, SimTime(100), SimTime(200)},
+                     {1, SimTime(200), SimTime(300)}};
+  plan.controller_outages = {{0, SimTime(50), SimTime(150)},
+                             {1, SimTime(50), SimTime(150)}};
+  plan.model_outages = {{SimTime(0), SimTime(10)}};
+  plan.admission = {0.5, SimTime(0), SimTime(100)};
+  add(plan, &two);
+  plan = {};
+  plan.ap_outages = {{0, SimTime(200), SimTime(100)}};
+  plan.controller_outages = {{3, SimTime(0), SimTime(150)},
+                             {3, SimTime(100), SimTime(250)}};
+  plan.clique_squeezes = {{SimTime(0), SimTime(10), 0}};
+  plan.admission.failure_probability = 1.5;
+  add(plan);
+  plan = {};
+  plan.ap_outages = {{0, SimTime(6), SimTime(8)},
+                     {0, SimTime(5), SimTime(5)},
+                     {0, SimTime(0), SimTime(10)}};
+  add(plan);
+  plan = {};
+  plan.ap_outages = {{99, SimTime(0), SimTime(10)}};
+  plan.controller_outages = {{7, SimTime(0), SimTime(10)}};
+  add(plan);
+  add(plan, &two);
+  plan = {};
+  plan.controller_losses = {{2, SimTime(0), SimTime(100)},
+                            {2, SimTime(50), SimTime(150)},
+                            {9, SimTime(200), SimTime(300)}};
+  add(plan, &two);
+
+  add(parsed("s3fault v1\ncontroller-outage 0 100 200\n"
+             "controller-loss 0 150 300\n"));
+
+  std::size_t refused = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& [p, net] = cases[i];
+    const CheckReport report = validate_fault_plan(p, net);
+    try {
+      fault::validate_plan(p, net);
+      EXPECT_TRUE(report.ok()) << "case " << i << ": accepted, but reported "
+                               << report.issues().front().message;
+    } catch (const std::invalid_argument& e) {
+      ++refused;
+      ASSERT_FALSE(report.ok()) << "case " << i << ": refused with "
+                                << e.what() << ", but reported clean";
+      EXPECT_EQ(e.what(), report.issues().front().message) << "case " << i;
+    }
+  }
+  EXPECT_EQ(refused, 13u);
+  const CheckReport last = validate_fault_plan(cases.back().first);
+  ASSERT_EQ(last.issues().size(), 1u);
+  EXPECT_EQ(last.issues()[0].message,
+            "controller-loss 0: outage windows overlap: controller-outage "
+            "[100, 200) and [150, 300)");
 }
 
 // --- validate_replica_convergence -----------------------------------

@@ -1,8 +1,9 @@
 # End-to-end test of the replication layer through the CLI: `s3lb check
 # fault-plan` linting (clean plan, line-numbered parse errors,
-# overlapping windows, topology checks) and `s3lb replay --replicas`
-# (deterministic across thread counts, transparent vs the outage-free
-# run, flag validation). Invoked by ctest with -DCLI=<path-to-binary>.
+# overlapping windows, a loss over an outage, topology checks) and
+# `s3lb replay --replicas` (deterministic across thread counts,
+# transparent vs the outage-free run, flag validation). Invoked by
+# ctest with -DCLI=<path-to-binary>.
 
 if(NOT DEFINED CLI)
   message(FATAL_ERROR "pass -DCLI=<s3lb binary>")
@@ -66,6 +67,17 @@ controller-outage 0 200 400
 ")
 run_cli_expect_failure("outage windows overlap"
         check fault-plan --in "${WORK}/overlap.txt")
+
+# A loss overlapping an outage of the same controller: its replica set
+# cannot be lost while one replica is already down. `replay
+# --fault-plan` refuses the plan by the same rule list.
+file(WRITE "${WORK}/loss_over_outage.txt"
+"s3fault v1
+controller-outage 0 100 200
+controller-loss 0 150 300
+")
+run_cli_expect_failure("controller-loss 0: outage windows overlap"
+        check fault-plan --in "${WORK}/loss_over_outage.txt")
 
 # Ids are only checkable against a topology: clean bare, flagged pinned.
 file(WRITE "${WORK}/unknown.txt"

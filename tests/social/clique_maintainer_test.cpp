@@ -181,14 +181,12 @@ TEST(CliqueMaintainer, EveryEdgeChangeBumpsTheCoverVersion) {
 
 // --- sync against a live model -------------------------------------
 
-/// The provider's strict-threshold edges by the full θ sweep, in the
-/// same order.
+/// The provider's θ > 0.3 edges by the full θ sweep, in the same order.
 std::vector<Edge> swept_edges(const ThetaProvider& model) {
   std::vector<Edge> out;
-  for_each_theta_edge(model, 0.3, /*strict=*/true,
-                      [&out](UserId u, UserId v, double theta) {
-                        out.emplace_back(u, v, theta);
-                      });
+  for_each_theta_edge(model, 0.3, [&out](UserId u, UserId v, double theta) {
+    out.emplace_back(u, v, theta);
+  });
   return out;
 }
 

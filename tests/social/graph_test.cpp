@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <span>
+#include <utility>
 #include <vector>
+
+#include "s3/social/social_index.h"
 
 namespace s3::social {
 namespace {
@@ -81,6 +86,34 @@ TEST(WeightedGraph, ReAddingAnEdgeOverwritesItsWeight) {
   EXPECT_DOUBLE_EQ(g.weight(0, 2), 0.6);
   EXPECT_DOUBLE_EQ(g.weight(2, 0), 0.6);
   EXPECT_DOUBLE_EQ(g.weight(0, 1), 0.0);  // not an edge
+}
+
+/// θ(0, 1) sits exactly on 0.3 and θ(1, 2) one ulp above it.
+class ThresholdTheta final : public ThetaProvider {
+ public:
+  double theta(UserId u, UserId v) const override {
+    const auto [a, b] = std::minmax(u, v);
+    if (a == 0 && b == 1) return 0.3;
+    if (a == 1 && b == 2) return std::nextafter(0.3, 1.0);
+    return 0.0;
+  }
+  std::size_t num_users() const override { return 3; }
+};
+
+// Every θ graph draws an edge at θ > threshold, the paper's "edges at
+// θ > 0.3": a pair exactly at the threshold gets none.
+TEST(ThetaGraph, PairAtExactlyTheThresholdGetsNoEdge) {
+  const ThresholdTheta theta;
+  const WeightedGraph g = build_theta_graph(theta, 0.3);
+  EXPECT_FALSE(g.adjacent(0, 1));
+  EXPECT_TRUE(g.adjacent(1, 2));
+  EXPECT_EQ(g.num_edges(), 1u);
+
+  std::vector<std::pair<UserId, UserId>> walked;
+  for_each_theta_edge(theta, 0.3, [&](UserId u, UserId v, double /*th*/) {
+    walked.emplace_back(u, v);
+  });
+  EXPECT_EQ(walked, (std::vector<std::pair<UserId, UserId>>{{1, 2}}));
 }
 
 }  // namespace

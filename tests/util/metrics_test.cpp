@@ -186,28 +186,6 @@ TEST(Registry, DumpRendersOneLinePerMetric) {
   EXPECT_NE(text.find("histogram"), std::string::npos);
 }
 
-class CapturingSink final : public MetricsSink {
- public:
-  void write(std::span<const MetricSample> samples) override {
-    last.assign(samples.begin(), samples.end());
-    ++flushes;
-  }
-  std::vector<MetricSample> last;
-  int flushes = 0;
-};
-
-TEST(Registry, FlushPushesSnapshotToSink) {
-  MetricsRegistry reg;
-  auto sink = std::make_shared<CapturingSink>();
-  reg.set_sink(sink);
-  reg.counter("f.count")->add(2);
-  reg.flush();
-  EXPECT_EQ(sink->flushes, 1);
-  ASSERT_EQ(sink->last.size(), 1u);
-  EXPECT_EQ(sink->last[0].name, "f.count");
-  EXPECT_EQ(sink->last[0].count, 2u);
-}
-
 TEST(Registry, GlobalBusIsSingleInstance) {
   EXPECT_EQ(&metrics(), &metrics());
 }

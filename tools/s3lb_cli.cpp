@@ -668,7 +668,7 @@ int cmd_check(const std::string& what, const Flags& f) {
     opts.theta_threshold = f.real("threshold", opts.theta_threshold);
     check::CheckReport report = check::validate_social_graph(*mr.model, opts);
     const social::WeightedGraph graph =
-        check::build_social_graph(*mr.model, opts.theta_threshold);
+        social::build_theta_graph(*mr.model, opts.theta_threshold);
     report.merge(check::validate_social_graph(graph, &*mr.model, opts));
     if (f.has("cover")) {
       report.merge(
